@@ -8,6 +8,7 @@ which conditions differed between the measurements.
 from .engine import (
     ConditionDiffMatrix,
     QraReport,
+    assess_all,
     classify,
     condition_diff,
     run_qra_test,
@@ -65,6 +66,7 @@ __all__ = [
     "SimResult",
     "UNKNOWN",
     "ValidationIssue",
+    "assess_all",
     "bundled_paper_dataset",
     "c4",
     "classify",

@@ -10,7 +10,7 @@ import os
 import sys
 from pathlib import Path
 
-from .engine import run_qra_test, subgroup_assess
+from .engine import assess_all, subgroup_assess
 from .errors import (
     DegenerateMean,
     EmptyGroup,
@@ -32,9 +32,12 @@ EXIT_DATA = 1
 EXIT_USAGE = 2
 EXIT_COMPUTE = 3
 
-_DATA_ERRORS = (ParseError, SchemaError, ValidationError,
-                UnknownObject, UnknownMeasurand, EmptyGroup)
-_COMPUTE_ERRORS = (DegenerateMean, InvalidSampleSize)
+_EXIT_CODES = {
+    InvalidParameters: EXIT_USAGE,
+    **dict.fromkeys((ParseError, SchemaError, ValidationError, UnknownObject,
+                     UnknownMeasurand, EmptyGroup), EXIT_DATA),
+    **dict.fromkeys((DegenerateMean, InvalidSampleSize, QraError), EXIT_COMPUTE),
+}
 
 
 def _styled(text: str) -> str:
@@ -60,19 +63,6 @@ def _render_spec(args) -> RenderSpec:
     return RenderSpec(format=args.render)
 
 
-def _selected_pairs(dataset, args):
-    pairs = dataset.pairs()
-    if args.object:
-        dataset.object_by_id(args.object)
-        pairs = [p for p in pairs if p[0] == args.object]
-    if args.measurand:
-        dataset.measurand_by_id(args.measurand)
-        pairs = [p for p in pairs if p[1] == args.measurand]
-    if not pairs:
-        raise EmptyGroup("no (object, measurand) pair matches the given filters")
-    return pairs
-
-
 def _report_document(reports, args) -> str:
     spec = _render_spec(args)
     parts = [render_precision_table(reports, spec)]
@@ -82,18 +72,14 @@ def _report_document(reports, args) -> str:
 
 
 def cmd_validate(args) -> int:
-    if args.input == "builtin":
-        dataset = bundled_paper_dataset()
-        issues = validate_dataset(dataset)
-    else:
-        # load_dataset raises on blocking errors; report them as issues
-        try:
-            dataset = load_dataset(args.input, fmt=args.format)
-        except ValidationError as exc:
-            for issue in exc.issues:
-                print(f"error: {issue.location}: {issue.message}")
-            return EXIT_DATA
-        issues = validate_dataset(dataset)
+    # loading raises on blocking errors; report them as issues
+    try:
+        dataset = _load(args)
+    except ValidationError as exc:
+        for issue in exc.issues:
+            print(f"error: {issue.location}: {issue.message}")
+        return EXIT_DATA
+    issues = validate_dataset(dataset)
     for issue in issues:
         print(f"{issue.severity}: {issue.location}: {issue.message}")
     errors = [i for i in issues if i.severity == "error"]
@@ -105,14 +91,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_assess(args) -> int:
-    dataset = _load(args)
-    counts = {}
-    for m in dataset.measurements:
-        counts[(m.object, m.measurand)] = counts.get((m.object, m.measurand), 0) + 1
-    pairs = [p for p in _selected_pairs(dataset, args) if counts[p] >= 2]
-    if not pairs:
-        raise InvalidSampleSize("every matching pair has fewer than 2 measurements")
-    reports = [run_qra_test(dataset, obj, meas) for obj, meas in pairs]
+    reports, _ = assess_all(_load(args), args.object, args.measurand)
     _emit(args, _report_document(reports, args))
     return EXIT_OK
 
@@ -209,29 +188,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except argparse.ArgumentTypeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InvalidParameters as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _COMPUTE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except QraError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+        # the most specific class in the table decides
+        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__
+                    if cls in _EXIT_CODES)
 
 
 def entrypoint() -> None:

@@ -115,6 +115,31 @@ def run_qra_test(dataset: QraDataset, object_id: str, measurand_id: str) -> QraR
                    group(dataset, object_id, measurand_id))
 
 
+def assess_all(dataset: QraDataset, object: str | None = None,
+               measurand: str | None = None):
+    """Assess every pair matching the optional filters, in first-appearance
+    order. Returns ``(reports, skipped)``, where ``skipped`` holds
+    ``(pair, reason)`` for each matching pair with n < 2. Raises EmptyGroup
+    when no pair matches and InvalidSampleSize when none is assessable."""
+    if object is not None:
+        dataset.object_by_id(object)
+    if measurand is not None:
+        dataset.measurand_by_id(measurand)
+    reports, skipped = [], []
+    for (obj, meas), members in dataset.index.groups.items():
+        if object not in (None, obj) or measurand not in (None, meas):
+            continue
+        if len(members) < 2:
+            skipped.append(((obj, meas), f"only {len(members)} measurement; need at least 2"))
+        else:
+            reports.append(run_qra_test(dataset, obj, meas))
+    if not reports and not skipped:
+        raise EmptyGroup("no (object, measurand) pair matches the given filters")
+    if not reports:
+        raise InvalidSampleSize("every matching pair has fewer than 2 measurements")
+    return reports, skipped
+
+
 def subgroup_assess(dataset: QraDataset, object_id: str, measurand_id: str,
                     predicate=(), where=None) -> QraReport:
     """Assess a condition-filtered subset of a group.

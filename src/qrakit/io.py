@@ -12,6 +12,9 @@ from __future__ import annotations
 import csv
 import datetime
 import json
+import math
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -50,35 +53,33 @@ def validate_dataset(dataset: QraDataset):
     def warn(location, message):
         issues.append(ValidationIssue("warning", location, message))
 
-    object_ids = [o.id for o in dataset.objects]
-    measurand_ids = [m.id for m in dataset.measurands]
-    for ids, kind in ((object_ids, "object"), (measurand_ids, "measurand")):
-        for dup in sorted({i for i in ids if ids.count(i) > 1}):
+    for declared, kind in ((dataset.objects, "object"), (dataset.measurands, "measurand")):
+        counts = Counter(d.id for d in declared)
+        for dup in sorted(i for i, n in counts.items() if n > 1):
             err(dup, f"duplicate {kind} id")
 
-    measurands = {m.id: m for m in dataset.measurands}
+    index = dataset.index
     schema_names = set(dataset.schema.names)
     for row, m in enumerate(dataset.measurements, start=1):
         loc = f"measurement {row} ({m.object}, {m.measurand})"
-        if m.object not in object_ids:
+        if m.object not in index.objects:
             err(loc, f"references undeclared object {m.object!r}")
-        if m.measurand not in measurand_ids:
+        measurand = index.measurands.get(m.measurand)
+        if measurand is None:
             err(loc, f"references undeclared measurand {m.measurand!r}")
             continue
-        measurand = measurands[m.measurand]
-        if m.value < measurand.scale_min:
+        if not math.isfinite(m.value):
+            err(loc, f"value {m.value} is not a finite number")
+        elif m.value < measurand.scale_min:
             err(loc, f"value {m.value} below scale minimum {measurand.scale_min}")
-        if measurand.scale_max is not None and m.value > measurand.scale_max:
+        elif measurand.scale_max is not None and m.value > measurand.scale_max:
             err(loc, f"value {m.value} above scale maximum {measurand.scale_max}")
         missing = schema_names - {name for name, _ in m.conditions}
         if missing:
             warn(loc, f"no entry for conditions {sorted(missing)}; treated as Unknown")
 
-    counts = {}
-    for m in dataset.measurements:
-        counts[(m.object, m.measurand)] = counts.get((m.object, m.measurand), 0) + 1
-    for (obj, meas), n in counts.items():
-        if n < 2:
+    for (obj, meas), members in index.groups.items():
+        if len(members) < 2:
             warn(f"({obj}, {meas})",
                  "only one measurement; pair is not assessable (n >= 2 required)")
     return issues
@@ -123,27 +124,44 @@ def dataset_to_obj(dataset: QraDataset) -> dict:
     }
 
 
-def dataset_from_obj(obj: dict) -> QraDataset:
+@contextmanager
+def _field_errors(where=""):
+    """Report a missing field as SchemaError and a malformed one as ParseError."""
     try:
-        schema = ConditionSchema(conditions=tuple(
-            (c["name"], c["category"]) for c in obj["schema"]["conditions"]
-        ))
-        objects = tuple(
-            ObjectRef(id=o["id"], display_name=o.get("display_name", o["id"]),
-                      description=o.get("description"))
-            for o in obj["objects"]
+        yield
+    except KeyError as exc:
+        raise SchemaError(f"{where}missing required field: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}{exc}") from exc
+
+
+def _header_from_obj(obj: dict):
+    """The schema, objects and measurands of a JSON dataset or CSV sidecar."""
+    schema = ConditionSchema(conditions=tuple(
+        (c["name"], c["category"]) for c in obj["schema"]["conditions"]
+    ))
+    objects = tuple(
+        ObjectRef(id=o["id"], display_name=o.get("display_name", o["id"]),
+                  description=o.get("description"))
+        for o in obj["objects"]
+    )
+    measurands = tuple(
+        Measurand(
+            id=m["id"],
+            display_name=m.get("display_name", m["id"]),
+            unit=m.get("unit", ""),
+            scale_min=float(m.get("scale_min", 0.0)),
+            scale_max=None if m.get("scale_max") is None else float(m["scale_max"]),
+            value_kind=m.get("value_kind", "continuous"),
         )
-        measurands = tuple(
-            Measurand(
-                id=m["id"],
-                display_name=m.get("display_name", m["id"]),
-                unit=m.get("unit", ""),
-                scale_min=float(m.get("scale_min", 0.0)),
-                scale_max=None if m.get("scale_max") is None else float(m["scale_max"]),
-                value_kind=m.get("value_kind", "continuous"),
-            )
-            for m in obj["measurands"]
-        )
+        for m in obj["measurands"]
+    )
+    return schema, objects, measurands
+
+
+def dataset_from_obj(obj: dict) -> QraDataset:
+    with _field_errors():
+        schema, objects, measurands = _header_from_obj(obj)
         measurements = tuple(
             make_measurement(
                 r["object"], r["measurand"], r["value"],
@@ -155,10 +173,6 @@ def dataset_from_obj(obj: dict) -> QraDataset:
             )
             for r in obj["measurements"]
         )
-    except KeyError as exc:
-        raise SchemaError(f"missing required field: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError(str(exc)) from exc
     return QraDataset(schema=schema, objects=objects,
                       measurands=measurands, measurements=measurements)
 
@@ -209,25 +223,8 @@ def _dataset_from_csv(path: Path) -> QraDataset:
         raise ParseError(f"{path}: no measurement rows")
 
     if meta is not None:
-        schema = ConditionSchema(conditions=tuple(
-            (c["name"], c["category"]) for c in meta["schema"]["conditions"]
-        ))
-        objects = tuple(
-            ObjectRef(id=o["id"], display_name=o.get("display_name", o["id"]),
-                      description=o.get("description"))
-            for o in meta["objects"]
-        )
-        measurands = tuple(
-            Measurand(
-                id=m["id"],
-                display_name=m.get("display_name", m["id"]),
-                unit=m.get("unit", ""),
-                scale_min=float(m.get("scale_min", 0.0)),
-                scale_max=None if m.get("scale_max") is None else float(m["scale_max"]),
-                value_kind=m.get("value_kind", "continuous"),
-            )
-            for m in meta["measurands"]
-        )
+        with _field_errors(f"{meta_path}: "):
+            schema, objects, measurands = _header_from_obj(meta)
     else:
         # No sidecar: derive a minimal description from the rows themselves.
         default_categories = dict(default_condition_schema().conditions)
@@ -235,31 +232,25 @@ def _dataset_from_csv(path: Path) -> QraDataset:
             (name, default_categories.get(name, "measurement_procedure"))
             for name in cond_names
         ))
-        seen_objects, seen_measurands = [], []
-        for r in raw_rows:
-            if r["object"] not in seen_objects:
-                seen_objects.append(r["object"])
-            if r["measurand"] not in seen_measurands:
-                seen_measurands.append(r["measurand"])
-        objects = tuple(ObjectRef(id=o, display_name=o) for o in seen_objects)
+        objects = tuple(ObjectRef(id=o, display_name=o)
+                        for o in dict.fromkeys(r["object"] for r in raw_rows))
         measurands = tuple(Measurand(id=m, display_name=m, unit="")
-                           for m in seen_measurands)
+                           for m in dict.fromkeys(r["measurand"] for r in raw_rows))
 
     measurements = []
-    for lineno, r in enumerate(raw_rows, start=2):
-        try:
-            value = float(r["value"])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{path}:{lineno}: bad value {r['value']!r}") from exc
-        ts = r.get("timestamp") or None
-        measurements.append(make_measurement(
-            r["object"], r["measurand"], value,
-            conditions={name: r.get(_COND_PREFIX + name) or None
-                        for name in schema.names},
-            source=r.get("source") or "",
-            timestamp=datetime.date.fromisoformat(ts) if ts else None,
-            schema=schema,
-        ))
+    try:
+        for lineno, r in enumerate(raw_rows, start=2):
+            ts = r.get("timestamp")
+            measurements.append(make_measurement(
+                r["object"], r["measurand"], r["value"],
+                conditions={name: r.get(_COND_PREFIX + name) or None
+                            for name in schema.names},
+                source=r.get("source") or "",
+                timestamp=datetime.date.fromisoformat(ts) if ts else None,
+                schema=schema,
+            ))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return QraDataset(schema=schema, objects=objects,
                       measurands=measurands, measurements=tuple(measurements))
 

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 from .errors import EmptyGroup, UnknownMeasurand, UnknownObject
 
@@ -153,6 +155,16 @@ def make_measurement(object_id, measurand_id, value, conditions=None,
     )
 
 
+class DatasetIndex(NamedTuple):
+    """Declarations by id (the first of duplicate ids wins) and measurements
+    by (object, measurand): groups in first-appearance order, each group in
+    dataset order."""
+
+    objects: dict[str, ObjectRef]
+    measurands: dict[str, Measurand]
+    groups: dict[tuple[str, str], list[Measurement]]
+
+
 @dataclass(frozen=True)
 class QraDataset:
     """A condition schema plus declared objects, measurands and measurements."""
@@ -162,26 +174,34 @@ class QraDataset:
     measurands: tuple[Measurand, ...]
     measurements: tuple[Measurement, ...] = field(default_factory=tuple)
 
-    def object_by_id(self, object_id: str) -> ObjectRef:
+    @cached_property
+    def index(self) -> DatasetIndex:
+        """Lookup tables, built on first use. Not a dataclass field, so
+        equality, hashing, ``repr`` and ``dataclasses.replace`` ignore it."""
+        objects, measurands, groups = {}, {}, {}
         for obj in self.objects:
-            if obj.id == object_id:
-                return obj
-        raise UnknownObject(f"undeclared object {object_id!r}")
+            objects.setdefault(obj.id, obj)
+        for m in self.measurands:
+            measurands.setdefault(m.id, m)
+        for m in self.measurements:
+            groups.setdefault((m.object, m.measurand), []).append(m)
+        return DatasetIndex(objects, measurands, groups)
+
+    def object_by_id(self, object_id: str) -> ObjectRef:
+        try:
+            return self.index.objects[object_id]
+        except KeyError:
+            raise UnknownObject(f"undeclared object {object_id!r}") from None
 
     def measurand_by_id(self, measurand_id: str) -> Measurand:
-        for m in self.measurands:
-            if m.id == measurand_id:
-                return m
-        raise UnknownMeasurand(f"undeclared measurand {measurand_id!r}")
+        try:
+            return self.index.measurands[measurand_id]
+        except KeyError:
+            raise UnknownMeasurand(f"undeclared measurand {measurand_id!r}") from None
 
     def pairs(self) -> list[tuple[str, str]]:
         """Distinct (object, measurand) pairs, in first-appearance order."""
-        seen = []
-        for m in self.measurements:
-            pair = (m.object, m.measurand)
-            if pair not in seen:
-                seen.append(pair)
-        return seen
+        return list(self.index.groups)
 
 
 def default_condition_schema() -> ConditionSchema:
@@ -201,10 +221,9 @@ def group(dataset: QraDataset, object_id: str, measurand_id: str):
     """All measurements for one (object, measurand) pair, in dataset order."""
     dataset.object_by_id(object_id)
     dataset.measurand_by_id(measurand_id)
-    matched = [m for m in dataset.measurements
-               if m.object == object_id and m.measurand == measurand_id]
+    matched = dataset.index.groups.get((object_id, measurand_id))
     if not matched:
         raise EmptyGroup(
             f"no measurements for object {object_id!r} / measurand {measurand_id!r}"
         )
-    return matched
+    return list(matched)

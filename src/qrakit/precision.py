@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import stats as _scipy_stats
+from scipy.special import stdtrit
 
 from .errors import (
     DegenerateMean,
@@ -98,7 +98,7 @@ def t_quantile(p: float, df: int) -> float:
         raise InvalidProbability(f"p must be in (0, 1), got {p}")
     if df < 1:
         raise InvalidDf(f"df must be >= 1, got {df}")
-    return float(_scipy_stats.t.ppf(p, df))
+    return float(stdtrit(df, p))
 
 
 def stdev_ci95(s_star: float, se: float, n: int) -> tuple[float, float]:

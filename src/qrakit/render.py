@@ -57,7 +57,8 @@ def _rows(reports, spec):
             str(p.n),
             _fmt(p.mean, ds),
             _fmt(p.s_star, ds),
-            f"[{_fmt(p.ci95[0], ds)}, {_fmt(p.ci95[1], ds)}]",
+            _fmt(p.ci95[0], ds),
+            _fmt(p.ci95[1], ds),
             _fmt(p.cv_star, dc),
         ])
     return reports, rows
@@ -95,16 +96,7 @@ def render_precision_table(reports, spec: RenderSpec = RenderSpec()) -> str:
         buf = _io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(PRECISION_CSV_HEADER)
-        for r, row in zip(ordered, rows):
-            p = r.precision
-            writer.writerow([
-                r.object.id, r.measurand.id, p.n,
-                _fmt(p.mean, spec.decimals_stats),
-                _fmt(p.s_star, spec.decimals_stats),
-                _fmt(p.ci95[0], spec.decimals_stats),
-                _fmt(p.ci95[1], spec.decimals_stats),
-                _fmt(p.cv_star, spec.decimals_cv),
-            ])
+        writer.writerows(row[:2] + row[3:] for row in rows)  # no values column
         return buf.getvalue()
 
     if spec.format == "json":
@@ -132,7 +124,8 @@ def render_precision_table(reports, spec: RenderSpec = RenderSpec()) -> str:
         return json.dumps(doc, indent=2) + "\n"
 
     table = _text_table if spec.format == "text" else _markdown_table
-    lines = table(_TABLE_HEADER, rows)
+    lines = table(_TABLE_HEADER, [row[:6] + [f"[{row[6]}, {row[7]}]", row[8]]
+                                  for row in rows])
     if spec.include_caveats:
         lines += ["", NORMALITY_CAVEAT]
     return "\n".join(lines) + "\n"

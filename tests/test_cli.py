@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from qrakit import errors
 from qrakit.cli import main
 from qrakit.io import bundled_paper_dataset, save_dataset
 
@@ -140,3 +143,74 @@ class TestValidate:
         # no sidecar: derived measurands have scale_min 0, so this loads
         code, out, _ = run(capsys, "validate", "--input", str(path))
         assert code == 0
+
+
+class TestBadInput:
+    def test_nan_value_fails_assess_and_validate(self, capsys, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("object,measurand,value\nA,M,nan\nA,M,1.0\n")
+        code, out, err = run(capsys, "assess", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "measurement 1 (A, M)" in err and "not a finite number" in err
+        code, out, _ = run(capsys, "validate", "--input", str(path))
+        assert code == 1
+        assert out.splitlines() == [
+            "error: measurement 1 (A, M): value nan is not a finite number"]
+
+    @pytest.mark.parametrize("breakage, message", [
+        (lambda meta: meta.pop("schema"), "missing required field: 'schema'"),
+        (lambda meta: meta["schema"]["conditions"][0].update(category="odd"),
+         "unknown condition category 'odd'"),
+    ])
+    def test_broken_sidecar(self, capsys, tmp_path, breakage, message):
+        path = tmp_path / "data.csv"
+        save_dataset(bundled_paper_dataset(), path)
+        sidecar = tmp_path / "data.meta.json"
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
+        breakage(meta)
+        sidecar.write_text(json.dumps(meta), encoding="utf-8")
+        code, _, err = run(capsys, "assess", "--input", str(path))
+        assert code == 1
+        assert err == f"error: {sidecar}: {message}\n"
+
+    def test_bad_csv_value(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("object,measurand,value\nA,M,1.0\nA,M,high\n")
+        code, _, err = run(capsys, "assess", "--input", str(path))
+        assert code == 1
+        assert err.startswith(f"error: {path}:3: ") and "'high'" in err
+
+    def test_bad_csv_timestamp(self, capsys, tmp_path):
+        path = tmp_path / "dated.csv"
+        path.write_text("object,measurand,value,timestamp\n"
+                        "A,M,1.0,2020-01-02\nA,M,2.0,2020-13-45\n")
+        code, _, err = run(capsys, "assess", "--input", str(path))
+        assert code == 1
+        assert err.startswith(f"error: {path}:3: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("error, code", [
+    (errors.InvalidParameters, 2),
+    (errors.DegenerateMean, 3),
+    (errors.InvalidSampleSize, 3),
+    (errors.ParseError, 1),
+    (errors.SchemaError, 1),
+    (errors.ValidationError, 1),
+    (errors.UnknownObject, 1),
+    (errors.UnknownMeasurand, 1),
+    (errors.EmptyGroup, 1),
+    (errors.ValueBelowScale, 3),
+    (errors.InvalidProbability, 3),
+    (errors.InvalidDf, 3),
+    (errors.MixedGroup, 3),
+    (errors.QraError, 3),
+])
+def test_exit_code_per_error_class(capsys, monkeypatch, error, code):
+    exc = error([]) if error is errors.ValidationError else error("boom")
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr("qrakit.cli.cmd_assess", fail)
+    assert run(capsys, "assess", "--input", "builtin") == (code, "", f"error: {exc}\n")

@@ -9,12 +9,19 @@ from qrakit.engine import (
     INDETERMINATE,
     REPEATABILITY,
     REPRODUCIBILITY,
+    assess_all,
     classify,
     condition_diff,
     run_qra_test,
     subgroup_assess,
 )
-from qrakit.errors import EmptyGroup, InvalidSampleSize, MixedGroup
+from qrakit.errors import (
+    EmptyGroup,
+    InvalidSampleSize,
+    MixedGroup,
+    UnknownMeasurand,
+    UnknownObject,
+)
 from qrakit.io import bundled_paper_dataset
 from qrakit.model import (
     Measurand,
@@ -106,6 +113,77 @@ class TestRunQraTest:
         dataset = tiny_dataset([all_same_row()])
         with pytest.raises(InvalidSampleSize):
             run_qra_test(dataset, "sys", "score")
+
+
+class TestAssessAll:
+    def test_every_pair_in_first_appearance_order(self, ds):
+        reports, skipped = assess_all(ds)
+        assert [(r.object.id, r.measurand.id) for r in reports] == ds.pairs()
+        assert skipped == []
+        assert all(r == run_qra_test(ds, r.object.id, r.measurand.id)
+                   for r in reports)
+
+    def test_filters(self, ds):
+        reports, _ = assess_all(ds, object="NTS_def")
+        assert [r.measurand.id for r in reports] == ["BLEU", "SARI"]
+        reports, _ = assess_all(ds, measurand="Clarity")
+        assert {r.measurand.id for r in reports} == {"Clarity"}
+        reports, _ = assess_all(ds, "NTS_def", "SARI")
+        assert [(r.object.id, r.measurand.id) for r in reports] == [("NTS_def", "SARI")]
+
+    def test_unknown_filter_ids(self, ds):
+        with pytest.raises(UnknownObject):
+            assess_all(ds, object="nope")
+        with pytest.raises(UnknownMeasurand):
+            assess_all(ds, measurand="nope")
+
+    def test_no_matching_pair(self, ds):
+        with pytest.raises(EmptyGroup):
+            assess_all(ds, "PASS", "BLEU")
+
+    def test_reports_skipped_pairs(self):
+        schema = default_condition_schema()
+        measurements = tuple(
+            make_measurement(o, "score", v, conditions=all_same_row(), schema=schema)
+            for o, v in (("lone", 1.0), ("sys", 1.0), ("sys", 2.0)))
+        dataset = QraDataset(
+            schema=schema,
+            objects=(ObjectRef("sys", "sys"), ObjectRef("lone", "lone")),
+            measurands=(Measurand("score", "score", "score"),),
+            measurements=measurements,
+        )
+        reports, skipped = assess_all(dataset)
+        assert [r.object.id for r in reports] == ["sys"]
+        assert [pair for pair, _ in skipped] == [("lone", "score")]
+        assert "1 measurement" in skipped[0][1]
+        with pytest.raises(InvalidSampleSize):
+            assess_all(dataset, object="lone")
+
+    def test_scans_the_measurements_a_constant_number_of_times(self):
+        """Assessing every pair indexes the rows once, not once per pair."""
+
+        class CountedRows(tuple):
+            scans = 0
+
+            def __iter__(self):
+                CountedRows.scans += 1
+                return tuple.__iter__(self)
+
+        schema = default_condition_schema()
+        objects = [f"o{i}" for i in range(250)]
+        rows = CountedRows(
+            make_measurement(o, meas, v, schema=schema)
+            for v in (1.0, 2.0) for o in objects for meas in ("x", "y"))
+        dataset = QraDataset(
+            schema=schema,
+            objects=tuple(ObjectRef(o, o) for o in objects),
+            measurands=(Measurand("x", "x", "score"), Measurand("y", "y", "score")),
+            measurements=rows,
+        )
+        CountedRows.scans = 0
+        reports, skipped = assess_all(dataset)
+        assert len(reports) == 500 and skipped == []
+        assert CountedRows.scans == 1
 
 
 class TestSubgroupAssess:

@@ -1,3 +1,6 @@
+import dataclasses
+import random
+
 import pytest
 
 from qrakit.errors import EmptyGroup, UnknownMeasurand, UnknownObject
@@ -6,10 +9,13 @@ from qrakit.model import (
     ConditionSchema,
     ConditionValue,
     Measurand,
+    ObjectRef,
+    QraDataset,
     UNKNOWN,
     default_condition_schema,
     group,
     known,
+    make_measurement,
 )
 
 
@@ -107,3 +113,68 @@ class TestFixtureShape:
         names = set(fixture_dataset.schema.names)
         for m in fixture_dataset.measurements:
             assert {n for n, _ in m.conditions} == names
+
+
+def rows(*specs):
+    """Measurements from (object, measurand, value) triples."""
+    schema = default_condition_schema()
+    return tuple(make_measurement(o, m, v, schema=schema) for o, m, v in specs)
+
+
+def dataset(measurements, objects=("a", "b"), measurands=("x", "y")):
+    return QraDataset(
+        schema=default_condition_schema(),
+        objects=tuple(ObjectRef(o, o) for o in objects),
+        measurands=tuple(Measurand(m, m, "score") for m in measurands),
+        measurements=measurements,
+    )
+
+
+class TestIndex:
+    def test_pairs_keep_first_appearance_order_on_shuffled_rows(self, fixture_dataset):
+        members = list(fixture_dataset.measurements)
+        random.Random(3).shuffle(members)
+        shuffled = dataclasses.replace(fixture_dataset, measurements=tuple(members))
+        expected = list(dict.fromkeys((m.object, m.measurand) for m in members))
+        assert shuffled.pairs() == expected
+        assert sorted(shuffled.pairs()) == sorted(fixture_dataset.pairs())
+
+    def test_group_keeps_dataset_order(self):
+        ds = dataset(rows(("a", "x", 3.0), ("b", "x", 9.0), ("a", "x", 1.0),
+                          ("a", "y", 5.0), ("a", "x", 2.0)))
+        assert [m.value for m in group(ds, "a", "x")] == [3.0, 1.0, 2.0]
+        assert ds.pairs() == [("a", "x"), ("b", "x"), ("a", "y")]
+
+    def test_group_result_does_not_alias_the_index(self):
+        ds = dataset(rows(("a", "x", 1.0), ("a", "x", 2.0)))
+        group(ds, "a", "x").clear()
+        assert len(group(ds, "a", "x")) == 2
+
+    def test_first_declaration_wins_on_duplicate_id(self):
+        ds = QraDataset(
+            schema=default_condition_schema(),
+            objects=(ObjectRef("a", "first"), ObjectRef("a", "second")),
+            measurands=(Measurand("x", "first", "score"),
+                        Measurand("x", "second", "score")),
+        )
+        assert ds.object_by_id("a").display_name == "first"
+        assert ds.measurand_by_id("x").display_name == "first"
+
+    def test_replace_sees_new_groups(self):
+        ds = dataset(rows(("a", "x", 1.0), ("a", "x", 2.0)))
+        assert ds.pairs() == [("a", "x")]  # builds the index
+        other = dataclasses.replace(ds, measurements=rows(("b", "y", 4.0)))
+        assert other.pairs() == [("b", "y")]
+        assert [m.value for m in group(other, "b", "y")] == [4.0]
+        with pytest.raises(EmptyGroup):
+            group(other, "a", "x")
+
+    def test_equality_hash_and_repr_ignore_the_index(self):
+        built = dataset(rows(("a", "x", 1.0), ("a", "x", 2.0)))
+        fresh = dataset(rows(("a", "x", 1.0), ("a", "x", 2.0)))
+        before = (hash(built), repr(built))
+        built.pairs()
+        assert "index" in vars(built) and "index" not in vars(fresh)
+        assert built == fresh
+        assert (hash(built), repr(built)) == before == (hash(fresh), repr(fresh))
+        assert "index" not in {f.name for f in dataclasses.fields(QraDataset)}
