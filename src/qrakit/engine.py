@@ -11,6 +11,7 @@ from .model import (
     Measurement,
     ObjectRef,
     QraDataset,
+    UNKNOWN,
     group,
 )
 from .precision import PrecisionResult, cv_star_pipeline
@@ -61,19 +62,21 @@ def condition_diff(measurements, schema: ConditionSchema) -> ConditionDiffMatrix
     if len(pairs) > 1:
         raise MixedGroup(f"group mixes several (object, measurand) pairs: {sorted(pairs)}")
 
-    rows = tuple(
-        tuple(m.condition(name) for name in schema.names) for m in measurements
-    )
+    names = schema.names
+    rows = []
+    for m in measurements:
+        cells = m.condition_map()
+        rows.append(tuple(cells.get(name, UNKNOWN) for name in names))
     verdicts = {}
-    for i, name in enumerate(schema.names):
-        values = [row[i] for row in rows]
-        if any(not v.is_known for v in values):
+    for name, column in zip(names, zip(*rows)):
+        labels = {v.label for v in column}
+        if None in labels:
             verdicts[name] = HAS_UNKNOWN
-        elif any(v.label != values[0].label for v in values):
+        elif len(labels) > 1:
             verdicts[name] = DIFFERS
         else:
             verdicts[name] = ALL_SAME
-    return ConditionDiffMatrix(conditions=schema.names, rows=rows, verdicts=verdicts)
+    return ConditionDiffMatrix(conditions=names, rows=tuple(rows), verdicts=verdicts)
 
 
 def classify(diff: ConditionDiffMatrix) -> str:
@@ -160,8 +163,9 @@ def subgroup_assess(dataset: QraDataset, object_id: str, measurand_id: str,
                 return False
         return where(m) if where is not None else True
 
-    kept = [m for m in members if selected(m)]
-    dropped = [m for m in members if not selected(m)]
+    kept, dropped = [], []
+    for m in members:
+        (kept if selected(m) else dropped).append(m)
     if not kept:
         raise EmptyGroup(
             f"({object_id}, {measurand_id}): predicate excludes every measurement"

@@ -25,6 +25,7 @@ from .model import (
     Measurand,
     ObjectRef,
     QraDataset,
+    UNKNOWN,
     default_condition_schema,
     make_measurement,
 )
@@ -184,17 +185,19 @@ def _meta_path(path: Path) -> Path:
 
 
 def _dataset_to_csv_rows(dataset: QraDataset):
+    names = dataset.schema.names
     has_timestamp = any(m.timestamp for m in dataset.measurements)
     header = list(_RESERVED_COLUMNS)
     if has_timestamp:
         header.append("timestamp")
-    header += [_COND_PREFIX + name for name in dataset.schema.names]
+    header += [_COND_PREFIX + name for name in names]
     rows = [header]
     for m in dataset.measurements:
         row = [m.object, m.measurand, repr(m.value), m.source]
         if has_timestamp:
             row.append(m.timestamp.isoformat() if m.timestamp else "")
-        row += [m.condition(name).label or "" for name in dataset.schema.names]
+        cells = m.condition_map()
+        row += [cells.get(name, UNKNOWN).label or "" for name in names]
         rows.append(row)
     return rows
 
@@ -237,14 +240,14 @@ def _dataset_from_csv(path: Path) -> QraDataset:
         measurands = tuple(Measurand(id=m, display_name=m, unit="")
                            for m in dict.fromkeys(r["measurand"] for r in raw_rows))
 
+    columns = [(name, _COND_PREFIX + name) for name in schema.names]
     measurements = []
     try:
         for lineno, r in enumerate(raw_rows, start=2):
             ts = r.get("timestamp")
             measurements.append(make_measurement(
                 r["object"], r["measurand"], r["value"],
-                conditions={name: r.get(_COND_PREFIX + name) or None
-                            for name in schema.names},
+                conditions={name: r.get(column) for name, column in columns},
                 source=r.get("source") or "",
                 timestamp=datetime.date.fromisoformat(ts) if ts else None,
                 schema=schema,

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import EmptyGroup, UnknownMeasurand, UnknownObject
@@ -68,7 +68,7 @@ class ConditionSchema:
             if category not in CONDITION_CATEGORIES:
                 raise ValueError(f"unknown condition category {category!r}")
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.conditions)
 
@@ -126,6 +126,18 @@ class Measurement:
                 return cvalue
         return UNKNOWN
 
+    def condition_map(self) -> dict[str, ConditionValue]:
+        """Condition name -> value. As in ``condition``, the first entry of
+        a repeated name wins; a name with no entry is absent."""
+        return dict(reversed(self.conditions))
+
+
+@lru_cache(maxsize=4096)
+def _cell(name: str, label: str | None) -> tuple[str, ConditionValue]:
+    """One shared, immutable (name, value) cell per distinct label, so a
+    loaded dataset holds one ConditionValue per label, not per measurement."""
+    return (name, UNKNOWN if label is None else ConditionValue(label))
+
 
 def make_measurement(object_id, measurand_id, value, conditions=None,
                      source="", timestamp=None, schema=None):
@@ -141,10 +153,9 @@ def make_measurement(object_id, measurand_id, value, conditions=None,
         label = conditions.get(name)
         if isinstance(label, ConditionValue):
             items.append((name, label))
-        elif label is None or label == "":
-            items.append((name, UNKNOWN))
         else:
-            items.append((name, known(str(label))))
+            # key on the normalised text: 1 and True hash equal, lists do not hash
+            items.append(_cell(name, None if label is None or label == "" else str(label)))
     return Measurement(
         object=object_id,
         measurand=measurand_id,

@@ -67,9 +67,14 @@ def sample_stats(shifted):
     if all(v == first for v in shifted):
         # keep constant samples exact: s is 0, not rounding noise
         return first, 0.0
-    mean = math.fsum(shifted) / n
-    ss = math.fsum((v - mean) ** 2 for v in shifted)
-    return mean, math.sqrt(ss / (n - 1))
+    # Work on values scaled by 2**-e, with 2**e above the largest magnitude,
+    # so the squares neither overflow nor underflow; powers of two scale
+    # exactly, so moderate inputs give the same bits as unscaled arithmetic.
+    e = math.frexp(max(map(abs, shifted)))[1]
+    scaled = [math.ldexp(v, -e) for v in shifted]
+    mean = math.fsum(scaled) / n
+    ss = math.fsum((v - mean) ** 2 for v in scaled)
+    return math.ldexp(mean, e), math.ldexp(math.sqrt(ss / (n - 1)), e)
 
 
 def unbiased_stdev(s: float, n: int) -> float:
@@ -89,7 +94,10 @@ def stdev_stderr(s: float, s_star: float, n: int) -> float:
         raise InvalidSampleSize(f"need n >= 2, got {n}")
     if s_star == 0.0:
         return 0.0
-    return (s * s * math.sqrt(2.0 / (n - 1))) / (2.0 * s_star)
+    # scale by a power of two before squaring, as in sample_stats
+    e = math.frexp(s)[1]
+    s, s_star = math.ldexp(s, -e), math.ldexp(s_star, -e)
+    return math.ldexp((s * s * math.sqrt(2.0 / (n - 1))) / (2.0 * s_star), e)
 
 
 def t_quantile(p: float, df: int) -> float:

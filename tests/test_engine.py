@@ -24,10 +24,14 @@ from qrakit.errors import (
 )
 from qrakit.io import bundled_paper_dataset
 from qrakit.model import (
+    UNKNOWN,
     Measurand,
+    Measurement,
     ObjectRef,
     QraDataset,
     default_condition_schema,
+    group,
+    known,
     make_measurement,
 )
 
@@ -51,6 +55,24 @@ def tiny_dataset(condition_rows, values=None):
         measurands=(Measurand("score", "score", "score"),),
         measurements=measurements,
     )
+
+
+SCHEMA = default_condition_schema()
+
+
+def scan_diff(measurements, schema):
+    """Reference rows and verdicts, one ``Measurement.condition`` scan per name."""
+    rows = tuple(tuple(m.condition(name) for name in schema.names) for m in measurements)
+    verdicts = {}
+    for i, name in enumerate(schema.names):
+        values = [row[i] for row in rows]
+        if any(not v.is_known for v in values):
+            verdicts[name] = HAS_UNKNOWN
+        elif any(v.label != values[0].label for v in values):
+            verdicts[name] = DIFFERS
+        else:
+            verdicts[name] = ALL_SAME
+    return rows, verdicts
 
 
 def all_same_row(label="team"):
@@ -87,6 +109,41 @@ class TestConditionDiff:
                  if m.object in ("PASS", "NTS_def")][:4]
         with pytest.raises(MixedGroup):
             condition_diff(mixed, ds.schema)
+        with pytest.raises(MixedGroup):  # same object, two measurands
+            condition_diff(group(ds, "NTS_def", "BLEU") + group(ds, "NTS_def", "SARI"),
+                           ds.schema)
+
+    def test_matches_per_name_scan_on_every_bundled_pair(self, ds):
+        for pair in ds.pairs():
+            members = group(ds, *pair)
+            diff = condition_diff(members, ds.schema)
+            assert (diff.rows, diff.verdicts) == scan_diff(members, ds.schema)
+
+    @pytest.mark.parametrize("conditions", [
+        # entries missing for some schema names
+        [(("test_set", known("a")),), (("test_set", known("a")), ("procedure", known("p")))],
+        # entries in non-schema order, one name the schema lacks
+        [(("performed_by", known("x")), ("system_code", known("s")), ("extra", known("e"))),
+         (("system_code", known("s")), ("performed_by", known("y")))],
+        # all-Unknown columns, and a repeated name (its first entry counts)
+        [tuple((n, UNKNOWN) for n in SCHEMA.names) + (("test_set", known("t")),),
+         tuple((n, UNKNOWN) for n in SCHEMA.names)],
+        [(("test_set", known("t")), ("test_set", UNKNOWN)), (("test_set", known("t")),)],
+    ])
+    def test_matches_per_name_scan_on_hand_built_groups(self, conditions):
+        members = [Measurement("sys", "score", float(i), c)
+                   for i, c in enumerate(conditions, start=1)]
+        diff = condition_diff(members, SCHEMA)
+        assert diff.conditions == SCHEMA.names
+        assert (diff.rows, diff.verdicts) == scan_diff(members, SCHEMA)
+
+    def test_reads_each_measurement_once(self, ds, monkeypatch):
+        calls = []
+        scan = Measurement.condition
+        monkeypatch.setattr(Measurement, "condition",
+                            lambda m, name: calls.append(name) or scan(m, name))
+        condition_diff(group(ds, "NTS_def", "BLEU"), ds.schema)
+        assert calls == []
 
     def test_empty_group_rejected(self, ds):
         with pytest.raises(EmptyGroup):
@@ -227,6 +284,19 @@ class TestSubgroupAssess:
         dataset = tiny_dataset([row_a, row_b])
         with pytest.raises(InvalidSampleSize):
             subgroup_assess(dataset, "sys", "score", [("test_set", "team")])
+
+    def test_where_runs_once_per_member(self, ds):
+        calls = []
+
+        def nisioi(m):
+            calls.append(m)
+            return m.condition("compile_training_info").label == "Nisioi et al."
+
+        report = subgroup_assess(ds, "NTS_def", "BLEU", where=nisioi)
+        assert len(calls) == 7 and calls == group(ds, "NTS_def", "BLEU")
+        assert report.excluded == subgroup_assess(
+            ds, "NTS_def", "BLEU", [("compile_training_info", "Nisioi et al.")]).excluded
+        assert len(report.excluded) == 3
 
     def test_filter_to_nothing(self, ds):
         with pytest.raises(EmptyGroup):

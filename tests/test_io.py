@@ -1,6 +1,10 @@
 import json
+import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qrakit.errors import ParseError, SchemaError, ValidationError
 from qrakit.io import (
@@ -84,6 +88,77 @@ class TestRoundTrip:
             "cond.method_specification,cond.implementation,"
             "cond.procedure,cond.test_set,cond.performed_by"
         )
+
+
+label_text = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=12)
+# None and "" are Unknown; the fixed labels make commas, quotes, newlines and
+# non-ASCII text common rather than rare.
+labels = st.one_of(
+    st.none(), st.just(""), label_text,
+    st.sampled_from([",", '"', 'say "hi", then go', "line\nbreak", "\r\n", "Équipe 3", "日本語"]),
+)
+
+
+@st.composite
+def datasets(draw):
+    schema = default_condition_schema()
+    measurements = tuple(
+        make_measurement(
+            draw(st.sampled_from(("a", "b"))), "score", draw(st.floats(0.0, 1e6)),
+            conditions={name: draw(labels) for name in schema.names},
+            source=draw(st.one_of(st.just(""), label_text)),
+            timestamp=draw(st.one_of(st.none(), st.dates())),
+            schema=schema,
+        )
+        for _ in range(draw(st.integers(1, 6)))
+    )
+    return QraDataset(
+        schema=schema,
+        objects=(ObjectRef("a", "a"), ObjectRef("b", "b")),
+        measurands=(Measurand("score", "score", "score"),),
+        measurements=measurements,
+    )
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(datasets(), st.sampled_from(["data.json", "data.csv"]))
+    def test_save_load(self, dataset, name):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / name
+            save_dataset(dataset, path)
+            assert load_dataset(path) == dataset
+
+
+class TestConditionCells:
+    def test_json_labels_load_as_text(self, ds, tmp_path):
+        obj = dataset_to_obj(ds)
+        raw = [1, True, 1.0, [1], "1"]
+        for row, label in zip(obj["measurements"], raw):
+            row["conditions"]["test_set"] = label
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(obj))
+        loaded = load_dataset(path)
+        assert [m.condition("test_set").label for m in loaded.measurements[:5]] == \
+            ["1", "True", "1.0", "[1]", "1"]
+
+    @pytest.mark.parametrize("name", ["data.json", "data.csv"])
+    def test_load_makes_one_value_per_distinct_label(self, tmp_path, name):
+        schema = default_condition_schema()
+        rng = random.Random(5)
+        pool = ["alpha", "beta", "Équipe 3", "x, y", None]
+        rows = tuple(
+            make_measurement("sys", "score", float(i),
+                             {c: rng.choice(pool) for c in schema.names}, schema=schema)
+            for i in range(1000))
+        save_dataset(QraDataset(schema=schema, objects=(ObjectRef("sys", "sys"),),
+                                measurands=(Measurand("score", "score", "score"),),
+                                measurements=rows), tmp_path / name)
+        loaded = load_dataset(tmp_path / name)
+        cells = [cell for m in loaded.measurements for cell in m.conditions]
+        distinct = {(c, cv.label) for c, cv in cells if cv.is_known}
+        assert len(cells) == 7000 and len(distinct) == 28
+        assert len({id(cv) for _, cv in cells}) <= len(distinct) + 1
 
 
 class TestLoadErrors:

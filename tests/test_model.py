@@ -9,6 +9,7 @@ from qrakit.model import (
     ConditionSchema,
     ConditionValue,
     Measurand,
+    Measurement,
     ObjectRef,
     QraDataset,
     UNKNOWN,
@@ -51,6 +52,11 @@ class TestDefaultConditionSchema:
     def test_deterministic(self):
         assert default_condition_schema() == default_condition_schema()
 
+    def test_names_are_built_once(self):
+        schema = default_condition_schema()
+        assert schema.names is schema.names
+        assert "names" not in {f.name for f in dataclasses.fields(ConditionSchema)}
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             ConditionSchema(conditions=(
@@ -71,6 +77,32 @@ class TestConditionValue:
     def test_empty_label_rejected(self):
         with pytest.raises(ValueError):
             ConditionValue("")
+
+
+class TestSharedCells:
+    def test_equal_labels_share_one_value(self):
+        schema = default_condition_schema()
+        a = make_measurement("a", "x", 1.0, {"test_set": "wmt", "procedure": "p"},
+                             schema=schema)
+        b = make_measurement("b", "y", 2.0, {"test_set": "wmt", "procedure": ""},
+                             schema=schema)
+        assert a.condition("test_set") is b.condition("test_set")
+        assert a.conditions[5] is b.conditions[5]
+        assert b.condition("procedure") is UNKNOWN
+        assert a.condition("system_code") is UNKNOWN
+
+    def test_passed_in_value_is_used_as_is(self):
+        mine = ConditionValue("wmt")
+        m = make_measurement("a", "x", 1.0, {"test_set": mine},
+                             schema=default_condition_schema())
+        assert m.condition("test_set") is mine
+
+    def test_condition_map_agrees_with_condition(self):
+        m = Measurement("a", "x", 1.0, conditions=(
+            ("b", known("first")), ("a", UNKNOWN), ("b", known("second"))))
+        cells = m.condition_map()
+        assert cells == {"a": UNKNOWN, "b": known("first")}
+        assert all(cells[name] is m.condition(name) for name in ("a", "b"))
 
 
 class TestMeasurand:

@@ -178,6 +178,16 @@ class TestCvStarPipeline:
         with pytest.raises(DegenerateMean):
             cv_star_pipeline([1.0, 1.0], 1.0)
 
+    @pytest.mark.parametrize("values", [[1e200, 2e200], [1e-300, 2e-300]])
+    def test_extreme_magnitudes_keep_cv_star(self, values):
+        result = cv_star_pipeline(values, 0.0)
+        assert result.cv_star == pytest.approx(66.467, abs=1e-3)
+        assert result.cv_star == pytest.approx(cv_star_pipeline([1.0, 2.0]).cv_star,
+                                               rel=1e-12)
+        lo, hi = result.ci95
+        assert math.isfinite(lo) and math.isfinite(hi) and lo < result.s_star < hi
+        assert result.se_s_star > 0.0 and not result.degenerate_spread
+
     def test_constant_sample_flagged(self):
         result = cv_star_pipeline([5.0, 5.0, 5.0], 0)
         assert result.cv_star == 0.0
@@ -193,7 +203,7 @@ values_strategy = st.lists(
 
 
 class TestProperties:
-    @given(values_strategy, st.floats(min_value=0.001, max_value=100.0))
+    @given(values_strategy, st.floats(min_value=1e-300, max_value=1e300))
     def test_scale_invariance(self, values, k):
         try:
             base = cv_star_pipeline(values, 0.0)
@@ -201,6 +211,19 @@ class TestProperties:
             return
         scaled = cv_star_pipeline([k * v for v in values], 0.0)
         assert scaled.cv_star == pytest.approx(base.cv_star, rel=1e-9)
+
+    @given(values_strategy)
+    def test_scaling_leaves_moderate_results_bit_identical(self, values):
+        """Power-of-two scaling is exact, so the unscaled formulas agree."""
+        if len(set(values)) == 1:
+            return
+        n = len(values)
+        mean = math.fsum(values) / n
+        s = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1))
+        assert sample_stats(values) == (mean, s)
+        s_star = unbiased_stdev(s, n)
+        assert stdev_stderr(s, s_star, n) == \
+            (s * s * math.sqrt(2.0 / (n - 1))) / (2.0 * s_star)
 
     @given(values_strategy)
     def test_cv_star_zero_iff_constant(self, values):
