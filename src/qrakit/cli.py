@@ -16,6 +16,7 @@ from .errors import (
     EmptyGroup,
     InvalidParameters,
     InvalidSampleSize,
+    NonFiniteResult,
     ParseError,
     QraError,
     SchemaError,
@@ -36,7 +37,8 @@ _EXIT_CODES = {
     InvalidParameters: EXIT_USAGE,
     **dict.fromkeys((ParseError, SchemaError, ValidationError, UnknownObject,
                      UnknownMeasurand, EmptyGroup), EXIT_DATA),
-    **dict.fromkeys((DegenerateMean, InvalidSampleSize, QraError), EXIT_COMPUTE),
+    **dict.fromkeys((DegenerateMean, InvalidSampleSize, NonFiniteResult, QraError),
+                    EXIT_COMPUTE),
 }
 
 
@@ -54,7 +56,11 @@ def _load(args):
 
 def _emit(args, document: str) -> None:
     if args.out:
-        Path(args.out).write_text(document, encoding="utf-8")
+        try:
+            Path(args.out).write_text(document, encoding="utf-8")
+        except OSError as exc:
+            raise argparse.ArgumentTypeError(
+                f"--out {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(document)
 

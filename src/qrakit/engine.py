@@ -58,9 +58,11 @@ def condition_diff(measurements, schema: ConditionSchema) -> ConditionDiffMatrix
     """
     if not measurements:
         raise EmptyGroup("cannot diff an empty group")
-    pairs = {(m.object, m.measurand) for m in measurements}
-    if len(pairs) > 1:
-        raise MixedGroup(f"group mixes several (object, measurand) pairs: {sorted(pairs)}")
+    first = measurements[0]
+    if any(m.object != first.object or m.measurand != first.measurand
+           for m in measurements):
+        pairs = sorted({(m.object, m.measurand) for m in measurements})
+        raise MixedGroup(f"group mixes several (object, measurand) pairs: {pairs}")
 
     names = schema.names
     rows = []

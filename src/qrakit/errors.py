@@ -17,6 +17,10 @@ class DegenerateMean(QraError):
     """Raised when the shifted mean is zero and CV is undefined."""
 
 
+class NonFiniteResult(QraError):
+    """A statistic falls outside the float range (values near its limits)."""
+
+
 class InvalidProbability(QraError):
     pass
 

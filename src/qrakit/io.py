@@ -136,6 +136,16 @@ def _field_errors(where=""):
         raise ParseError(f"{where}{exc}") from exc
 
 
+@contextmanager
+def _read_errors(path):
+    """Report an unreadable or non-UTF-8 file as a ParseError naming it."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        # strerror drops OSError's "[Errno N]" prefix; decode errors have none
+        raise ParseError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def _header_from_obj(obj: dict):
     """The schema, objects and measurands of a JSON dataset or CSV sidecar."""
     schema = ConditionSchema(conditions=tuple(
@@ -207,11 +217,12 @@ def _dataset_from_csv(path: Path) -> QraDataset:
     meta = None
     if meta_path.exists():
         try:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+            with _read_errors(meta_path):
+                meta = json.loads(meta_path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ParseError(f"{meta_path}: {exc}") from exc
 
-    with path.open(newline="", encoding="utf-8") as fh:
+    with _read_errors(path), path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ParseError(f"{path}: empty file")
@@ -280,7 +291,8 @@ def load_dataset(path, fmt: str = "auto") -> QraDataset:
     fmt = _resolve_format(path, fmt)
     if fmt == "json":
         try:
-            obj = json.loads(path.read_text(encoding="utf-8"))
+            with _read_errors(path):
+                obj = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: "
                              f"{exc.msg}") from exc

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidParameters
 from .precision import c4, t_quantile
 
@@ -39,6 +37,9 @@ def simulate(n: int, sigma: float, trials: int, seed: int,
         raise InvalidParameters(f"sigma must be > 0, got {sigma}")
     if trials < 1:
         raise InvalidParameters(f"trials must be >= 1, got {trials}")
+
+    # numpy is loaded here, not at import, so only simulate pays for it
+    import numpy as np
 
     if mu is None:
         mu = 10.0 * sigma

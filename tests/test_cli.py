@@ -189,11 +189,61 @@ class TestBadInput:
         assert code == 1
         assert err.startswith(f"error: {path}:3: ") and len(err.splitlines()) == 1
 
+    def test_top_of_range_values_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "schema": {"conditions": []},
+            "objects": [{"id": "A"}],
+            "measurands": [{"id": "M"}],
+            "measurements": [{"object": "A", "measurand": "M", "value": v}
+                             for v in (1e300, 1.7e308)],
+        }), encoding="utf-8")
+        code, out, err = run(capsys, "assess", "--input", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "CI lower bound is -inf" in err
+
+    @pytest.mark.parametrize("name, content", [
+        ("latin1.json", b'{"schema": {"conditions": []}, "objects": [{"id": "caf\xe9"}]}'),
+        ("latin1.csv", b"object,measurand,value\nA,M,1.0\nA,M\xe9,2.0\n"),
+    ], ids=["json", "csv"])
+    def test_non_utf8_file(self, capsys, tmp_path, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        code, _, err = run(capsys, "assess", "--input", str(path))
+        assert code == 1
+        assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1
+        assert "can't decode byte 0xe9" in err
+
+    def test_non_utf8_sidecar(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        save_dataset(bundled_paper_dataset(), path)
+        sidecar = tmp_path / "data.meta.json"
+        sidecar.write_bytes(b'{"schema": "\xe9"}')
+        code, _, err = run(capsys, "assess", "--input", str(path))
+        assert code == 1
+        assert err.startswith(f"error: {sidecar}: ") and len(err.splitlines()) == 1
+
+    def test_input_is_a_directory(self, capsys, tmp_path):
+        path = tmp_path / "data.json"
+        path.mkdir()
+        code, _, err = run(capsys, "validate", "--input", str(path))
+        assert code == 1
+        assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1
+
+    def test_out_into_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.txt"
+        code, out, err = run(capsys, "assess", "--input", "builtin",
+                             "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --out {target}: ") and len(err.splitlines()) == 1
+
 
 @pytest.mark.parametrize("error, code", [
     (errors.InvalidParameters, 2),
     (errors.DegenerateMean, 3),
     (errors.InvalidSampleSize, 3),
+    (errors.NonFiniteResult, 3),
     (errors.ParseError, 1),
     (errors.SchemaError, 1),
     (errors.ValidationError, 1),

@@ -1,16 +1,20 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import stdtrit
 
 from qrakit.errors import (
     DegenerateMean,
     InvalidDf,
     InvalidProbability,
     InvalidSampleSize,
+    NonFiniteResult,
     ValueBelowScale,
 )
 from qrakit.precision import (
+    _T_975,
     c4,
     cv_star_pipeline,
     sample_stats,
@@ -130,6 +134,33 @@ class TestTQuantile:
             t_quantile(0.975, 0)
 
 
+class TestTQuantileTable:
+    """The df 1-30 table at p = 0.975 is a memo of stdtrit, bit for bit."""
+
+    def test_covers_df_1_to_30(self):
+        assert list(_T_975) == list(range(1, 31))
+
+    @pytest.mark.parametrize("df", range(1, 31))
+    def test_entry_equals_stdtrit(self, df):
+        assert _T_975[df] == float(stdtrit(df, 0.975))
+
+    @pytest.mark.parametrize("df", [2.5, 3.0, np.int64(3), 31, 1000],
+                             ids=["2.5", "3.0", "int64-3", "31", "1000"])
+    @pytest.mark.parametrize("p", [0.5, 0.9, 0.975, 0.995])
+    def test_equals_stdtrit_on_and_off_the_table(self, p, df):
+        assert t_quantile(p, df) == float(stdtrit(df, p))
+
+    @pytest.mark.parametrize("p, df, error", [
+        (0.0, 3, InvalidProbability),
+        (1.5, 3, InvalidProbability),
+        (0.975, 0.5, InvalidDf),
+        (0.975, -3, InvalidDf),
+    ])
+    def test_argument_checks_run_before_the_lookup(self, p, df, error):
+        with pytest.raises(error):
+            t_quantile(p, df)
+
+
 class TestStdevCi95:
     def test_n7(self):
         lo, hi = stdev_ci95(1.290, 0.3431, 7)
@@ -188,6 +219,18 @@ class TestCvStarPipeline:
         assert math.isfinite(lo) and math.isfinite(hi) and lo < result.s_star < hi
         assert result.se_s_star > 0.0 and not result.degenerate_spread
 
+    def test_top_of_range_cv_star_is_finite(self):
+        # 100 * s* overflows here, although s*, se and the CI are finite
+        result = cv_star_pipeline([1e300, 1e307, 2e307], 0.0)
+        reference = cv_star_pipeline([1e-7, 1.0, 2.0], 0.0)
+        assert math.isfinite(result.cv_star)
+        assert result.cv_star == pytest.approx(reference.cv_star, rel=1e-9)
+        assert all(math.isfinite(bound) for bound in result.ci95)
+
+    def test_infinite_ci_raises(self):
+        with pytest.raises(NonFiniteResult, match="CI lower bound is -inf"):
+            cv_star_pipeline([1e300, 1.7e308], 0.0)
+
     def test_constant_sample_flagged(self):
         result = cv_star_pipeline([5.0, 5.0, 5.0], 0)
         assert result.cv_star == 0.0
@@ -224,6 +267,14 @@ class TestProperties:
         s_star = unbiased_stdev(s, n)
         assert stdev_stderr(s, s_star, n) == \
             (s * s * math.sqrt(2.0 / (n - 1))) / (2.0 * s_star)
+
+    @given(values_strategy)
+    def test_cv_scaling_is_bit_identical(self, values):
+        try:
+            result = cv_star_pipeline(values, 0.0)
+        except DegenerateMean:
+            return
+        assert result.cv == 100.0 * result.s_star / result.mean
 
     @given(values_strategy)
     def test_cv_star_zero_iff_constant(self, values):
