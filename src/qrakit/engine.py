@@ -11,7 +11,6 @@ from .model import (
     Measurement,
     ObjectRef,
     QraDataset,
-    UNKNOWN,
     group,
 )
 from .precision import PrecisionResult, cv_star_pipeline
@@ -30,7 +29,7 @@ class ConditionDiffMatrix:
     """Per-condition same/different verdicts for a group of measurements."""
 
     conditions: tuple[str, ...]
-    rows: tuple[tuple, ...]  # one tuple of ConditionValue per measurement
+    rows: tuple[tuple, ...]  # one label tuple per measurement; None is Unknown
     verdicts: dict
 
     def verdict(self, name: str) -> str:
@@ -65,20 +64,17 @@ def condition_diff(measurements, schema: ConditionSchema) -> ConditionDiffMatrix
         raise MixedGroup(f"group mixes several (object, measurand) pairs: {pairs}")
 
     names = schema.names
-    rows = []
-    for m in measurements:
-        cells = m.condition_map()
-        rows.append(tuple(cells.get(name, UNKNOWN) for name in names))
+    rows = tuple(m.labels_in(names) for m in measurements)
     verdicts = {}
     for name, column in zip(names, zip(*rows)):
-        labels = {v.label for v in column}
+        labels = set(column)
         if None in labels:
             verdicts[name] = HAS_UNKNOWN
         elif len(labels) > 1:
             verdicts[name] = DIFFERS
         else:
             verdicts[name] = ALL_SAME
-    return ConditionDiffMatrix(conditions=names, rows=tuple(rows), verdicts=verdicts)
+    return ConditionDiffMatrix(conditions=names, rows=rows, verdicts=verdicts)
 
 
 def classify(diff: ConditionDiffMatrix) -> str:
@@ -137,7 +133,7 @@ def assess_all(dataset: QraDataset, object: str | None = None,
         if len(members) < 2:
             skipped.append(((obj, meas), f"only {len(members)} measurement; need at least 2"))
         else:
-            reports.append(run_qra_test(dataset, obj, meas))
+            reports.append(_assess(dataset, obj, meas, members))
     if not reports and not skipped:
         raise EmptyGroup("no (object, measurand) pair matches the given filters")
     if not reports:
@@ -160,8 +156,7 @@ def subgroup_assess(dataset: QraDataset, object_id: str, measurand_id: str,
 
     def selected(m):
         for name, label in predicate:
-            cv = m.condition(name)
-            if not (cv.is_known and cv.label == label):
+            if label is None or m.label(name) != label:
                 return False
         return where(m) if where is not None else True
 

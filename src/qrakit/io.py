@@ -25,7 +25,6 @@ from .model import (
     Measurand,
     ObjectRef,
     QraDataset,
-    UNKNOWN,
     default_condition_schema,
     make_measurement,
 )
@@ -75,7 +74,7 @@ def validate_dataset(dataset: QraDataset):
             err(loc, f"value {m.value} below scale minimum {measurand.scale_min}")
         elif measurand.scale_max is not None and m.value > measurand.scale_max:
             err(loc, f"value {m.value} above scale maximum {measurand.scale_max}")
-        missing = schema_names - {name for name, _ in m.conditions}
+        missing = schema_names.difference(m.names)
         if missing:
             warn(loc, f"no entry for conditions {sorted(missing)}; treated as Unknown")
 
@@ -118,7 +117,7 @@ def dataset_to_obj(dataset: QraDataset) -> dict:
                 "value": m.value,
                 "source": m.source,
                 "timestamp": m.timestamp.isoformat() if m.timestamp else None,
-                "conditions": {name: cv.label for name, cv in m.conditions},
+                "conditions": dict(zip(m.names, m.labels)),
             }
             for m in dataset.measurements
         ],
@@ -206,8 +205,7 @@ def _dataset_to_csv_rows(dataset: QraDataset):
         row = [m.object, m.measurand, repr(m.value), m.source]
         if has_timestamp:
             row.append(m.timestamp.isoformat() if m.timestamp else "")
-        cells = m.condition_map()
-        row += [cells.get(name, UNKNOWN).label or "" for name in names]
+        row += [label or "" for label in m.labels_in(names)]
         rows.append(row)
     return rows
 
@@ -227,6 +225,9 @@ def _dataset_from_csv(path: Path) -> QraDataset:
         if reader.fieldnames is None:
             raise ParseError(f"{path}: empty file")
         fields = reader.fieldnames
+        repeated = next((f for f in fields if fields.count(f) > 1), None)
+        if repeated is not None:
+            raise SchemaError(f"{path}: repeated column {repeated!r}")
         for col in ("object", "measurand", "value"):
             if col not in fields:
                 raise SchemaError(f"{path}: missing required column {col!r}")
@@ -239,6 +240,10 @@ def _dataset_from_csv(path: Path) -> QraDataset:
     if meta is not None:
         with _field_errors(f"{meta_path}: "):
             schema, objects, measurands = _header_from_obj(meta)
+        for name in schema.names:
+            if _COND_PREFIX + name not in fields:
+                raise SchemaError(f"{path}: no column {_COND_PREFIX + name!r} for "
+                                  f"condition {name!r} declared in {meta_path}")
     else:
         # No sidecar: derive a minimal description from the rows themselves.
         default_categories = dict(default_condition_schema().conditions)
@@ -258,7 +263,7 @@ def _dataset_from_csv(path: Path) -> QraDataset:
             ts = r.get("timestamp")
             measurements.append(make_measurement(
                 r["object"], r["measurand"], r["value"],
-                conditions={name: r.get(column) for name, column in columns},
+                conditions={name: r[column] for name, column in columns},
                 source=r.get("source") or "",
                 timestamp=datetime.date.fromisoformat(ts) if ts else None,
                 schema=schema,
@@ -283,6 +288,13 @@ def _resolve_format(path: Path, fmt: str) -> str:
                       "pass format='csv' or 'json'")
 
 
+def _validated(dataset: QraDataset) -> QraDataset:
+    errors = [i for i in validate_dataset(dataset) if i.severity == "error"]
+    if errors:
+        raise ValidationError(errors)
+    return dataset
+
+
 def load_dataset(path, fmt: str = "auto") -> QraDataset:
     """Load and validate a dataset; raises on parse or validation errors."""
     path = Path(path)
@@ -303,10 +315,7 @@ def load_dataset(path, fmt: str = "auto") -> QraDataset:
         dataset = _dataset_from_csv(path)
     else:
         raise SchemaError(f"unknown format {fmt!r}")
-    errors = [i for i in validate_dataset(dataset) if i.severity == "error"]
-    if errors:
-        raise ValidationError(errors)
-    return dataset
+    return _validated(dataset)
 
 
 def save_dataset(dataset: QraDataset, path, fmt: str = "auto") -> None:
@@ -332,8 +341,4 @@ def bundled_paper_dataset() -> QraDataset:
     text = (resources.files("qrakit") / "data" / "qra_benchmark.json").read_text(
         encoding="utf-8"
     )
-    dataset = dataset_from_obj(json.loads(text))
-    errors = [i for i in validate_dataset(dataset) if i.severity == "error"]
-    if errors:  # packaging defect, not a user error
-        raise ValidationError(errors)
-    return dataset
+    return _validated(dataset_from_obj(json.loads(text)))  # errors: a packaging defect

@@ -6,8 +6,9 @@ shared freely between concurrent readers.
 from __future__ import annotations
 
 import datetime
+import sys
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import EmptyGroup, UnknownMeasurand, UnknownObject
@@ -72,12 +73,6 @@ class ConditionSchema:
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.conditions)
 
-    def category(self, name: str) -> str:
-        for cname, category in self.conditions:
-            if cname == name:
-                return category
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class ConditionValue:
@@ -111,56 +106,63 @@ def known(label: str) -> ConditionValue:
 
 @dataclass(frozen=True)
 class Measurement:
-    """One measured quantity value for an (object, measurand) pair."""
+    """One measured quantity value for an (object, measurand) pair.
+
+    ``labels[i]`` is the label of condition ``names[i]``, or None for
+    Unknown. Measurements built against a schema share its ``names`` tuple.
+    """
 
     object: str
     measurand: str
     value: float
-    conditions: tuple[tuple[str, ConditionValue], ...]
+    names: tuple[str, ...]
+    labels: tuple[str | None, ...]
     source: str = ""
     timestamp: datetime.date | None = None
 
+    def label(self, name: str) -> str | None:
+        """The label of the first entry for ``name``; None when it has none."""
+        try:
+            return self.labels[self.names.index(name)]
+        except ValueError:
+            return None
+
+    def labels_in(self, names: tuple[str, ...]) -> tuple[str | None, ...]:
+        """One label per name of ``names``, in that order."""
+        if self.names == names:
+            return self.labels
+        return tuple(map(self.label, names))
+
     def condition(self, name: str) -> ConditionValue:
-        for cname, cvalue in self.conditions:
-            if cname == name:
-                return cvalue
-        return UNKNOWN
-
-    def condition_map(self) -> dict[str, ConditionValue]:
-        """Condition name -> value. As in ``condition``, the first entry of
-        a repeated name wins; a name with no entry is absent."""
-        return dict(reversed(self.conditions))
+        label = self.label(name)
+        return UNKNOWN if label is None else ConditionValue(label)
 
 
-@lru_cache(maxsize=4096)
-def _cell(name: str, label: str | None) -> tuple[str, ConditionValue]:
-    """One shared, immutable (name, value) cell per distinct label, so a
-    loaded dataset holds one ConditionValue per label, not per measurement."""
-    return (name, UNKNOWN if label is None else ConditionValue(label))
+def _label(raw) -> str | None:
+    if isinstance(raw, ConditionValue):
+        raw = raw.label
+    if raw is None or raw == "":
+        return None
+    # one string object per distinct label across a loaded dataset
+    return sys.intern(str(raw))
 
 
 def make_measurement(object_id, measurand_id, value, conditions=None,
                      source="", timestamp=None, schema=None):
     """Build a Measurement from a plain dict of condition labels.
 
-    ``conditions`` maps condition name -> label (or None / missing for
-    Unknown). When a schema is given, every schema condition gets an entry.
+    ``conditions`` maps condition name -> label (a ConditionValue, or None,
+    "" or missing for Unknown). When a schema is given, the measurement has
+    one label per schema condition, in schema order.
     """
-    conditions = dict(conditions or {})
+    conditions = conditions or {}
     names = schema.names if schema is not None else tuple(conditions)
-    items = []
-    for name in names:
-        label = conditions.get(name)
-        if isinstance(label, ConditionValue):
-            items.append((name, label))
-        else:
-            # key on the normalised text: 1 and True hash equal, lists do not hash
-            items.append(_cell(name, None if label is None or label == "" else str(label)))
     return Measurement(
         object=object_id,
         measurand=measurand_id,
         value=float(value),
-        conditions=tuple(items),
+        names=names,
+        labels=tuple(_label(conditions.get(name)) for name in names),
         source=source,
         timestamp=timestamp,
     )

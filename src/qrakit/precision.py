@@ -103,14 +103,9 @@ def sample_stats(shifted):
     if all(v == first for v in shifted):
         # keep constant samples exact: s is 0, not rounding noise
         return first, 0.0
-    # Work on values scaled by 2**-e, with 2**e above the largest magnitude,
-    # so the squares neither overflow nor underflow; powers of two scale
-    # exactly, so moderate inputs give the same bits as unscaled arithmetic.
-    e = math.frexp(max(map(abs, shifted)))[1]
-    scaled = [math.ldexp(v, -e) for v in shifted]
-    mean = math.fsum(scaled) / n
-    ss = math.fsum((v - mean) ** 2 for v in scaled)
-    return math.ldexp(mean, e), math.ldexp(math.sqrt(ss / (n - 1)), e)
+    mean = math.fsum(shifted) / n
+    ss = math.fsum((v - mean) ** 2 for v in shifted)
+    return mean, math.sqrt(ss / (n - 1))
 
 
 def unbiased_stdev(s: float, n: int) -> float:
@@ -130,10 +125,7 @@ def stdev_stderr(s: float, s_star: float, n: int) -> float:
         raise InvalidSampleSize(f"need n >= 2, got {n}")
     if s_star == 0.0:
         return 0.0
-    # scale by a power of two before squaring, as in sample_stats
-    e = math.frexp(s)[1]
-    s, s_star = math.ldexp(s, -e), math.ldexp(s_star, -e)
-    return math.ldexp((s * s * math.sqrt(2.0 / (n - 1))) / (2.0 * s_star), e)
+    return (s * s * math.sqrt(2.0 / (n - 1))) / (2.0 * s_star)
 
 
 def t_quantile(p: float, df: int) -> float:
@@ -158,33 +150,39 @@ def stdev_ci95(s_star: float, se: float, n: int) -> tuple[float, float]:
     return (s_star - half, s_star + half)
 
 
+def _unscaled(x: float, e: int) -> float:
+    """x * 2**e, or an infinity of x's sign where that overflows."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def cv_star_pipeline(values, scale_min=0.0) -> PrecisionResult:
     """Full precision computation for one group of raw scores."""
     shifted = shift_values(values, scale_min)
-    mean, s = sample_stats(shifted)
+    # Work on the values scaled by 2**-e, which puts the largest in [0.5, 1),
+    # so no square overflows or underflows, and scale back at the end. Powers
+    # of two scale exactly, so moderate inputs keep the bits of unscaled
+    # arithmetic; CV and CV* are ratios and need no unscaling.
+    e = math.frexp(max(shifted, default=0.0))[1]
+    mean, s = sample_stats([math.ldexp(v, -e) for v in shifted])
     if mean == 0.0:
         raise DegenerateMean("shifted mean is 0; coefficient of variation undefined")
     n = len(shifted)
     s_star = unbiased_stdev(s, n)
     se = stdev_stderr(s, s_star, n)
-    ci = stdev_ci95(s_star, se, n)
-    # scale s* and the mean by one power of two, so 100 * s* cannot overflow
-    e = math.frexp(max(s_star, mean))[1]
-    cv = 100.0 * math.ldexp(s_star, -e) / math.ldexp(mean, -e)
+    lo, hi = stdev_ci95(s_star, se, n)
+    cv = 100.0 * s_star / mean
     cv_star = (1.0 + 1.0 / (4.0 * n)) * cv
-    for name, value in (("s*", s_star), ("se(s*)", se), ("CI lower bound", ci[0]),
-                        ("CI upper bound", ci[1]), ("CV", cv), ("CV*", cv_star)):
+    result = PrecisionResult(
+        n=n, mean=_unscaled(mean, e), s=_unscaled(s, e), s_star=_unscaled(s_star, e),
+        se_s_star=_unscaled(se, e), ci95=(_unscaled(lo, e), _unscaled(hi, e)),
+        cv=cv, cv_star=cv_star, degenerate_spread=(s == 0.0))
+    for name, value in (("s*", result.s_star), ("se(s*)", result.se_s_star),
+                        ("CI lower bound", result.ci95[0]),
+                        ("CI upper bound", result.ci95[1]), ("CV", cv), ("CV*", cv_star)):
         if not math.isfinite(value):
             raise NonFiniteResult(f"{name} is {value}: the values are not finite "
                                   "or too close to the top of the float range")
-    return PrecisionResult(
-        n=n,
-        mean=mean,
-        s=s,
-        s_star=s_star,
-        se_s_star=se,
-        ci95=ci,
-        cv=cv,
-        cv_star=cv_star,
-        degenerate_spread=(s == 0.0),
-    )
+    return result

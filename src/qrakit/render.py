@@ -140,8 +140,8 @@ def render_condition_matrix(report: QraReport,
     header = ["value"] + list(report.diff.conditions)
     rows = []
     for m, row in zip(report.measurements, report.diff.rows):
-        rows.append([str(m.value)] + [cv.label if cv.is_known else "?"
-                                      for cv in row])
+        rows.append([str(m.value)] + ["?" if label is None else label
+                                      for label in row])
     verdict_line = "verdicts: " + ", ".join(
         f"{name}={report.diff.verdicts[name]}" for name in report.diff.conditions
     )
@@ -154,8 +154,7 @@ def render_condition_matrix(report: QraReport,
             "conditions": list(report.diff.conditions),
             "rows": [
                 {"value": m.value,
-                 "conditions": {name: cv.label for name, cv
-                                in zip(report.diff.conditions, row)}}
+                 "conditions": dict(zip(report.diff.conditions, row))}
                 for m, row in zip(report.measurements, report.diff.rows)
             ],
             "verdicts": dict(report.diff.verdicts),

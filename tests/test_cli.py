@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from qrakit import errors
 from qrakit.cli import main
 from qrakit.io import bundled_paper_dataset, save_dataset
+
+
+BAD = Path(__file__).resolve().parent / "data" / "bad"
 
 
 def run(capsys, *argv):
@@ -146,6 +150,25 @@ class TestValidate:
 
 
 class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        *(["assess", "--input", str(path)] for path in sorted(BAD.iterdir())
+          if not path.name.endswith(".meta.json")),
+        ["subgroup", "--input", "builtin", "--object", "NTS_def", "--measurand",
+         "BLEU", "--where", "cond.test_set=no such test set"],
+    ], ids=lambda argv: Path(argv[2]).name if argv[0] == "assess" else argv[0])
+    def test_malformed_input_ends_in_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code in (1, 2, 3) and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_csv_header_errors_name_file_and_column(self, capsys):
+        for name, column in (("sidecar_missing_column.csv", "'cond.performed_by'"),
+                             ("repeated_column.csv", "'value'")):
+            path = BAD / name
+            code, _, err = run(capsys, "validate", "--input", str(path))
+            assert code == 1
+            assert err.startswith(f"error: {path}: ") and column in err
+
     def test_nan_value_fails_assess_and_validate(self, capsys, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("object,measurand,value\nA,M,nan\nA,M,1.0\n")

@@ -24,14 +24,12 @@ from qrakit.errors import (
 )
 from qrakit.io import bundled_paper_dataset
 from qrakit.model import (
-    UNKNOWN,
     Measurand,
     Measurement,
     ObjectRef,
     QraDataset,
     default_condition_schema,
     group,
-    known,
     make_measurement,
 )
 
@@ -62,10 +60,11 @@ SCHEMA = default_condition_schema()
 
 def scan_diff(measurements, schema):
     """Reference rows and verdicts, one ``Measurement.condition`` scan per name."""
-    rows = tuple(tuple(m.condition(name) for name in schema.names) for m in measurements)
+    cells = [[m.condition(name) for name in schema.names] for m in measurements]
+    rows = tuple(tuple(v.label for v in row) for row in cells)
     verdicts = {}
     for i, name in enumerate(schema.names):
-        values = [row[i] for row in rows]
+        values = [row[i] for row in cells]
         if any(not v.is_known for v in values):
             verdicts[name] = HAS_UNKNOWN
         elif any(v.label != values[0].label for v in values):
@@ -121,29 +120,33 @@ class TestConditionDiff:
 
     @pytest.mark.parametrize("conditions", [
         # entries missing for some schema names
-        [(("test_set", known("a")),), (("test_set", known("a")), ("procedure", known("p")))],
+        [(("test_set",), ("a",)), (("test_set", "procedure"), ("a", "p"))],
         # entries in non-schema order, one name the schema lacks
-        [(("performed_by", known("x")), ("system_code", known("s")), ("extra", known("e"))),
-         (("system_code", known("s")), ("performed_by", known("y")))],
+        [(("performed_by", "system_code", "extra"), ("x", "s", "e")),
+         (("system_code", "performed_by"), ("s", "y"))],
         # all-Unknown columns, and a repeated name (its first entry counts)
-        [tuple((n, UNKNOWN) for n in SCHEMA.names) + (("test_set", known("t")),),
-         tuple((n, UNKNOWN) for n in SCHEMA.names)],
-        [(("test_set", known("t")), ("test_set", UNKNOWN)), (("test_set", known("t")),)],
+        [(SCHEMA.names + ("test_set",), (None,) * 7 + ("t",)), (SCHEMA.names, (None,) * 7)],
+        [(("test_set", "test_set"), ("t", None)), (("test_set",), ("t",))],
     ])
     def test_matches_per_name_scan_on_hand_built_groups(self, conditions):
-        members = [Measurement("sys", "score", float(i), c)
-                   for i, c in enumerate(conditions, start=1)]
+        members = [Measurement("sys", "score", float(i), names, labels)
+                   for i, (names, labels) in enumerate(conditions, start=1)]
         diff = condition_diff(members, SCHEMA)
         assert diff.conditions == SCHEMA.names
         assert (diff.rows, diff.verdicts) == scan_diff(members, SCHEMA)
 
     def test_reads_each_measurement_once(self, ds, monkeypatch):
+        """Loaded measurements hold their labels in schema order, so the
+        diff takes each row as it is, without a lookup per name."""
         calls = []
-        scan = Measurement.condition
-        monkeypatch.setattr(Measurement, "condition",
-                            lambda m, name: calls.append(name) or scan(m, name))
-        condition_diff(group(ds, "NTS_def", "BLEU"), ds.schema)
+        for accessor in ("label", "condition"):
+            scan = getattr(Measurement, accessor)
+            monkeypatch.setattr(Measurement, accessor, lambda m, name, scan=scan:
+                                calls.append(name) or scan(m, name))
+        members = group(ds, "NTS_def", "BLEU")
+        diff = condition_diff(members, ds.schema)
         assert calls == []
+        assert all(row is m.labels for row, m in zip(diff.rows, members))
 
     def test_empty_group_rejected(self, ds):
         with pytest.raises(EmptyGroup):

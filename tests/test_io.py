@@ -155,10 +155,10 @@ class TestConditionCells:
                                 measurands=(Measurand("score", "score", "score"),),
                                 measurements=rows), tmp_path / name)
         loaded = load_dataset(tmp_path / name)
-        cells = [cell for m in loaded.measurements for cell in m.conditions]
-        distinct = {(c, cv.label) for c, cv in cells if cv.is_known}
-        assert len(cells) == 7000 and len(distinct) == 28
-        assert len({id(cv) for _, cv in cells}) <= len(distinct) + 1
+        labels = [label for m in loaded.measurements for label in m.labels]
+        known = [label for label in labels if label is not None]
+        assert len(labels) == 7000 and len(set(known)) == 4
+        assert len({id(label) for label in known}) <= len(set(known))
 
 
 class TestLoadErrors:

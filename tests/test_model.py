@@ -84,25 +84,27 @@ class TestSharedCells:
         schema = default_condition_schema()
         a = make_measurement("a", "x", 1.0, {"test_set": "wmt", "procedure": "p"},
                              schema=schema)
-        b = make_measurement("b", "y", 2.0, {"test_set": "wmt", "procedure": ""},
-                             schema=schema)
-        assert a.condition("test_set") is b.condition("test_set")
-        assert a.conditions[5] is b.conditions[5]
-        assert b.condition("procedure") is UNKNOWN
+        b = make_measurement("b", "y", 2.0, {"test_set": "".join(["w", "mt"]),
+                                             "procedure": ""}, schema=schema)
+        assert a.names is b.names is schema.names
+        assert a.label("test_set") is b.label("test_set")
+        assert a.labels[5] is b.labels[5]
+        assert b.label("procedure") is None and b.condition("procedure") is UNKNOWN
         assert a.condition("system_code") is UNKNOWN
 
     def test_passed_in_value_is_used_as_is(self):
         mine = ConditionValue("wmt")
-        m = make_measurement("a", "x", 1.0, {"test_set": mine},
+        m = make_measurement("a", "x", 1.0, {"test_set": mine, "procedure": UNKNOWN},
                              schema=default_condition_schema())
-        assert m.condition("test_set") is mine
+        assert m.condition("test_set") == mine and m.label("test_set") == "wmt"
+        assert m.label("procedure") is None
 
-    def test_condition_map_agrees_with_condition(self):
-        m = Measurement("a", "x", 1.0, conditions=(
-            ("b", known("first")), ("a", UNKNOWN), ("b", known("second"))))
-        cells = m.condition_map()
-        assert cells == {"a": UNKNOWN, "b": known("first")}
-        assert all(cells[name] is m.condition(name) for name in ("a", "b"))
+    def test_label_agrees_with_condition(self):
+        m = Measurement("a", "x", 1.0, ("b", "a", "b"), ("first", None, "second"))
+        assert (m.label("a"), m.label("b"), m.label("c")) == (None, "first", None)
+        assert m.labels_in(("c", "b", "a")) == (None, "first", None)
+        assert m.labels_in(("b", "a", "b")) is m.labels
+        assert [m.condition(name) for name in "abc"] == [UNKNOWN, known("first"), UNKNOWN]
 
 
 class TestMeasurand:
@@ -144,7 +146,8 @@ class TestFixtureShape:
     def test_every_condition_present(self, fixture_dataset):
         names = set(fixture_dataset.schema.names)
         for m in fixture_dataset.measurements:
-            assert {n for n, _ in m.conditions} == names
+            assert m.names is fixture_dataset.schema.names
+            assert len(m.labels) == len(names)
 
 
 def rows(*specs):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from scipy.special import stdtrit
 
 from qrakit.errors import (
@@ -219,6 +219,11 @@ class TestCvStarPipeline:
         assert math.isfinite(lo) and math.isfinite(hi) and lo < result.s_star < hi
         assert result.se_s_star > 0.0 and not result.degenerate_spread
 
+    def test_subnormal_pair_matches_unit_pair(self):
+        # exactly 1:2, so every ratio must carry the bits of [1, 2]
+        result = cv_star_pipeline([5e-324, 1e-323], 0.0)
+        assert result.cv_star == cv_star_pipeline([1.0, 2.0], 0.0).cv_star
+
     def test_top_of_range_cv_star_is_finite(self):
         # 100 * s* overflows here, although s*, se and the CI are finite
         result = cv_star_pipeline([1e300, 1e307, 2e307], 0.0)
@@ -255,6 +260,20 @@ class TestProperties:
         scaled = cv_star_pipeline([k * v for v in values], 0.0)
         assert scaled.cv_star == pytest.approx(base.cv_star, rel=1e-9)
 
+    @given(st.lists(st.integers(1, 2 ** 10), min_size=2, max_size=12),
+           # half the factors put the values among the subnormals
+           st.one_of(st.integers(-1074, -1023), st.integers(-1022, 1023)))
+    def test_power_of_two_scale_invariance(self, values, k):
+        """Integers times 2**k are exact down to the smallest subnormal, so
+        CV* keeps its bits wherever the scaled values and results fit."""
+        assume(all(k + v.bit_length() <= 1024 for v in values))  # no value overflows
+        try:
+            result = cv_star_pipeline([math.ldexp(v, k) for v in values], 0.0)
+        except NonFiniteResult:
+            assert k > 1000  # s* or its CI leaves the float range
+            return
+        assert result.cv_star == cv_star_pipeline(values, 0.0).cv_star
+
     @given(values_strategy)
     def test_scaling_leaves_moderate_results_bit_identical(self, values):
         """Power-of-two scaling is exact, so the unscaled formulas agree."""
@@ -265,8 +284,15 @@ class TestProperties:
         s = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1))
         assert sample_stats(values) == (mean, s)
         s_star = unbiased_stdev(s, n)
-        assert stdev_stderr(s, s_star, n) == \
-            (s * s * math.sqrt(2.0 / (n - 1))) / (2.0 * s_star)
+        se = (s * s * math.sqrt(2.0 / (n - 1))) / (2.0 * s_star)
+        assert stdev_stderr(s, s_star, n) == se
+        half = t_quantile(0.975, n - 1) * se
+        cv = 100.0 * s_star / mean
+        result = cv_star_pipeline(values, 0.0)
+        assert (result.mean, result.s, result.s_star, result.se_s_star, result.ci95,
+                result.cv, result.cv_star) == \
+            (mean, s, s_star, se, (s_star - half, s_star + half), cv,
+             (1.0 + 1.0 / (4.0 * n)) * cv)
 
     @given(values_strategy)
     def test_cv_scaling_is_bit_identical(self, values):
