@@ -11,35 +11,20 @@ import sys
 from pathlib import Path
 
 from .engine import assess_all, subgroup_assess
-from .errors import (
-    DegenerateMean,
-    EmptyGroup,
-    InvalidParameters,
-    InvalidSampleSize,
-    NonFiniteResult,
-    ParseError,
-    QraError,
-    SchemaError,
-    UnknownMeasurand,
-    UnknownObject,
-    ValidationError,
+from .errors import QraError
+from .io import (
+    _read_bundled,
+    _read_dataset,
+    bundled_paper_dataset,
+    load_dataset,
+    validate_dataset,
 )
-from .io import bundled_paper_dataset, load_dataset, validate_dataset
 from .render import RenderSpec, render_condition_matrix, render_precision_table
 from .sim import simulate
 
 EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_USAGE = 2
-EXIT_COMPUTE = 3
-
-_EXIT_CODES = {
-    InvalidParameters: EXIT_USAGE,
-    **dict.fromkeys((ParseError, SchemaError, ValidationError, UnknownObject,
-                     UnknownMeasurand, EmptyGroup), EXIT_DATA),
-    **dict.fromkeys((DegenerateMean, InvalidSampleSize, NonFiniteResult, QraError),
-                    EXIT_COMPUTE),
-}
 
 
 def _styled(text: str) -> str:
@@ -65,12 +50,8 @@ def _emit(args, document: str) -> None:
         sys.stdout.write(document)
 
 
-def _render_spec(args) -> RenderSpec:
-    return RenderSpec(format=args.render)
-
-
 def _report_document(reports, args) -> str:
-    spec = _render_spec(args)
+    spec = RenderSpec(format=args.render)
     parts = [render_precision_table(reports, spec)]
     if args.conditions:
         parts += [render_condition_matrix(r, spec) for r in reports]
@@ -78,16 +59,18 @@ def _report_document(reports, args) -> str:
 
 
 def cmd_validate(args) -> int:
-    # loading raises on blocking errors; report them as issues
-    try:
-        dataset = _load(args)
-    except ValidationError as exc:
-        for issue in exc.issues:
-            print(f"error: {issue.location}: {issue.message}")
-        return EXIT_DATA
-    # loading succeeded, so what is left are warnings
-    for issue in validate_dataset(dataset):
+    # parse without validating, so that one pass finds errors and warnings
+    if args.input == "builtin":
+        dataset = _read_bundled()
+    else:
+        dataset = _read_dataset(args.input, args.format)
+    issues = validate_dataset(dataset)
+    errors = [i for i in issues if i.severity == "error"]
+    # with blocking errors, only they are printed
+    for issue in errors or issues:
         print(f"{issue.severity}: {issue.location}: {issue.message}")
+    if errors:
+        return EXIT_DATA
     print(f"ok: {len(dataset.measurements)} measurements, "
           f"{len(dataset.pairs())} (object, measurand) pairs")
     return EXIT_OK
@@ -199,9 +182,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except QraError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # the most specific class in the table decides
-        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__
-                    if cls in _EXIT_CODES)
+        return exc.exit_code
 
 
 def entrypoint() -> None:

@@ -2,7 +2,10 @@
 
 
 class QraError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors. ``exit_code`` is the CLI's exit
+    status: 1 bad input data, 2 bad usage, 3 a computation that cannot go on."""
+
+    exit_code = 3
 
 
 class InvalidSampleSize(QraError):
@@ -32,17 +35,21 @@ class InvalidDf(QraError):
 class InvalidParameters(QraError):
     """Bad simulation parameters (n, sigma, trials)."""
 
+    exit_code = 2
+
 
 class UnknownObject(QraError):
-    pass
+    exit_code = 1
 
 
 class UnknownMeasurand(QraError):
-    pass
+    exit_code = 1
 
 
 class EmptyGroup(QraError):
     """No measurements match the requested (object, measurand) pair."""
+
+    exit_code = 1
 
 
 class MixedGroup(QraError):
@@ -52,13 +59,19 @@ class MixedGroup(QraError):
 class ParseError(QraError):
     """Input file could not be parsed."""
 
+    exit_code = 1
+
 
 class SchemaError(QraError):
     """Input file is missing a required column or field."""
 
+    exit_code = 1
+
 
 class ValidationError(QraError):
     """Dataset validation produced blocking issues."""
+
+    exit_code = 1
 
     def __init__(self, issues):
         self.issues = list(issues)

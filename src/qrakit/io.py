@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import ParseError, SchemaError, ValidationError
+from .errors import ParseError, QraError, SchemaError, ValidationError
 from .model import (
     ConditionSchema,
     Measurand,
@@ -87,7 +87,8 @@ def validate_dataset(dataset: QraDataset):
 
 # ---------------------------------------------------------------- JSON
 
-def dataset_to_obj(dataset: QraDataset) -> dict:
+def _header_to_obj(dataset: QraDataset) -> dict:
+    """The schema, objects and measurands; all of a CSV sidecar."""
     return {
         "schema": {
             "conditions": [
@@ -110,81 +111,123 @@ def dataset_to_obj(dataset: QraDataset) -> dict:
             }
             for m in dataset.measurands
         ],
-        "measurements": [
-            {
-                "object": m.object,
-                "measurand": m.measurand,
-                "value": m.value,
-                "source": m.source,
-                "timestamp": m.timestamp.isoformat() if m.timestamp else None,
-                "conditions": dict(zip(m.names, m.labels)),
-            }
-            for m in dataset.measurements
-        ],
     }
 
 
-@contextmanager
-def _field_errors(where=""):
+def dataset_to_obj(dataset: QraDataset) -> dict:
+    obj = _header_to_obj(dataset)
+    obj["measurements"] = [
+        {
+            "object": m.object,
+            "measurand": m.measurand,
+            "value": m.value,
+            "source": m.source,
+            "timestamp": m.timestamp.isoformat() if m.timestamp else None,
+            "conditions": dict(zip(m.names, m.labels)),
+        }
+        for m in dataset.measurements
+    ]
+    return obj
+
+
+_FIELD_ERRORS = (KeyError, TypeError, ValueError)
+
+
+def _field_error(where: str, exc: Exception) -> QraError:
     """Report a missing field as SchemaError and a malformed one as ParseError."""
-    try:
-        yield
-    except KeyError as exc:
-        raise SchemaError(f"{where}missing required field: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}{exc}") from exc
+    if isinstance(exc, KeyError):
+        return SchemaError(f"{where}missing required field: {exc}")
+    return ParseError(f"{where}{exc}")
 
 
 @contextmanager
 def _read_errors(path):
-    """Report an unreadable or non-UTF-8 file as a ParseError naming it."""
+    """Report an unreadable, non-UTF-8 or non-JSON file as a ParseError naming it."""
     try:
         yield
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: "
+                         f"{exc.msg}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         # strerror drops OSError's "[Errno N]" prefix; decode errors have none
         raise ParseError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
-def _header_from_obj(obj: dict):
-    """The schema, objects and measurands of a JSON dataset or CSV sidecar."""
-    schema = ConditionSchema(conditions=tuple(
-        (c["name"], c["category"]) for c in obj["schema"]["conditions"]
-    ))
-    objects = tuple(
-        ObjectRef(id=o["id"], display_name=o.get("display_name", o["id"]),
-                  description=o.get("description"))
-        for o in obj["objects"]
-    )
-    measurands = tuple(
-        Measurand(
-            id=m["id"],
-            display_name=m.get("display_name", m["id"]),
-            unit=m.get("unit", ""),
-            scale_min=float(m.get("scale_min", 0.0)),
-            scale_max=None if m.get("scale_max") is None else float(m["scale_max"]),
-            value_kind=m.get("value_kind", "continuous"),
+def _read_json(path) -> dict:
+    """The JSON object in a data file or CSV sidecar."""
+    with _read_errors(path):
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: top-level JSON value must be an object")
+    return obj
+
+
+def _header_from_obj(obj: dict, where: str):
+    """The schema, objects and measurands of a JSON dataset or CSV sidecar;
+    errors start with ``where``."""
+    try:
+        schema = ConditionSchema(conditions=tuple(
+            (c["name"], c["category"]) for c in obj["schema"]["conditions"]
+        ))
+        objects = tuple(
+            ObjectRef(id=o["id"], display_name=o.get("display_name", o["id"]),
+                      description=o.get("description"))
+            for o in obj["objects"]
         )
-        for m in obj["measurands"]
-    )
+        measurands = tuple(
+            Measurand(
+                id=m["id"],
+                display_name=m.get("display_name", m["id"]),
+                unit=m.get("unit", ""),
+                scale_min=float(m.get("scale_min", 0.0)),
+                scale_max=None if m.get("scale_max") is None else float(m["scale_max"]),
+                value_kind=m.get("value_kind", "continuous"),
+            )
+            for m in obj["measurands"]
+        )
+    except _FIELD_ERRORS as exc:
+        raise _field_error(where, exc) from exc
     return schema, objects, measurands
 
 
-def dataset_from_obj(obj: dict) -> QraDataset:
-    with _field_errors():
-        schema, objects, measurands = _header_from_obj(obj)
-        measurements = tuple(
-            make_measurement(
+def _measurements(rows, schema: ConditionSchema, where) -> tuple:
+    """One Measurement per row (a JSON measurement object, or a CSV row with
+    its ``conditions`` dict added); errors start with ``where(n)`` for row n,
+    counted from 1. A missing or None ``source`` reads as ""."""
+    measurements = []
+    try:
+        for r in rows:
+            if not isinstance(r, dict):
+                raise TypeError("not a JSON object")
+            conditions = r.get("conditions")
+            if conditions is not None and not isinstance(conditions, dict):
+                raise TypeError("conditions is not a JSON object")
+            ts = r.get("timestamp")
+            measurements.append(make_measurement(
                 r["object"], r["measurand"], r["value"],
-                conditions=r.get("conditions", {}),
-                source=r.get("source", ""),
-                timestamp=(datetime.date.fromisoformat(r["timestamp"])
-                           if r.get("timestamp") else None),
+                conditions=conditions,
+                source=r.get("source") or "",
+                timestamp=datetime.date.fromisoformat(ts) if ts else None,
                 schema=schema,
-            )
-            for r in obj["measurements"]
-        )
+            ))
+    except _FIELD_ERRORS as exc:
+        raise _field_error(where(len(measurements) + 1), exc) from exc
+    return tuple(measurements)
+
+
+def _dataset_from_obj(obj: dict, where: str) -> QraDataset:
+    """``dataset_from_obj``; errors start with ``where``, the file's name."""
+    schema, objects, measurands = _header_from_obj(obj, where)
+    if "measurements" not in obj:
+        raise SchemaError(f"{where}missing required field: 'measurements'")
+    measurements = _measurements(obj["measurements"], schema,
+                                 lambda n: f"{where}measurement {n}: ")
     return QraDataset(schema=schema, objects=objects,
                       measurands=measurands, measurements=measurements)
+
+
+def dataset_from_obj(obj: dict) -> QraDataset:
+    return _dataset_from_obj(obj, "")
 
 
 # ----------------------------------------------------------------- CSV
@@ -212,13 +255,7 @@ def _dataset_to_csv_rows(dataset: QraDataset):
 
 def _dataset_from_csv(path: Path) -> QraDataset:
     meta_path = _meta_path(path)
-    meta = None
-    if meta_path.exists():
-        try:
-            with _read_errors(meta_path):
-                meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{meta_path}: {exc}") from exc
+    meta = _read_json(meta_path) if meta_path.exists() else None
 
     with _read_errors(path), path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -238,8 +275,7 @@ def _dataset_from_csv(path: Path) -> QraDataset:
         raise ParseError(f"{path}: no measurement rows")
 
     if meta is not None:
-        with _field_errors(f"{meta_path}: "):
-            schema, objects, measurands = _header_from_obj(meta)
+        schema, objects, measurands = _header_from_obj(meta, f"{meta_path}: ")
         for name in schema.names:
             if _COND_PREFIX + name not in fields:
                 raise SchemaError(f"{path}: no column {_COND_PREFIX + name!r} for "
@@ -257,35 +293,29 @@ def _dataset_from_csv(path: Path) -> QraDataset:
                            for m in dict.fromkeys(r["measurand"] for r in raw_rows))
 
     columns = [(name, _COND_PREFIX + name) for name in schema.names]
-    measurements = []
-    try:
-        for lineno, r in enumerate(raw_rows, start=2):
-            ts = r.get("timestamp")
-            measurements.append(make_measurement(
-                r["object"], r["measurand"], r["value"],
-                conditions={name: r[column] for name, column in columns},
-                source=r.get("source") or "",
-                timestamp=datetime.date.fromisoformat(ts) if ts else None,
-                schema=schema,
-            ))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    for r in raw_rows:
+        r["conditions"] = {name: r[column] for name, column in columns}
+    # the header is line 1, so row n is on line n + 1
+    measurements = _measurements(raw_rows, schema, lambda n: f"{path}:{n + 1}: ")
     return QraDataset(schema=schema, objects=objects,
-                      measurands=measurands, measurements=tuple(measurements))
+                      measurands=measurands, measurements=measurements)
 
 
 # ------------------------------------------------------------- loading
 
+_FORMATS = ("csv", "json")
+
+
 def _resolve_format(path: Path, fmt: str) -> str:
-    if fmt != "auto":
-        return fmt
-    suffix = path.suffix.lower()
-    if suffix == ".csv":
-        return "csv"
-    if suffix == ".json":
-        return "json"
-    raise SchemaError(f"cannot infer format from extension {suffix!r}; "
-                      "pass format='csv' or 'json'")
+    if fmt == "auto":
+        suffix = path.suffix.lower()
+        if suffix[1:] not in _FORMATS:
+            raise SchemaError(f"cannot infer format from extension {suffix!r}; "
+                              "pass format='csv' or 'json'")
+        return suffix[1:]
+    if fmt not in _FORMATS:
+        raise SchemaError(f"unknown format {fmt!r}")
+    return fmt
 
 
 def _validated(dataset: QraDataset) -> QraDataset:
@@ -295,50 +325,38 @@ def _validated(dataset: QraDataset) -> QraDataset:
     return dataset
 
 
+def _read_dataset(path, fmt: str = "auto") -> QraDataset:
+    """A dataset file, parsed but not validated."""
+    path = Path(path)
+    if _resolve_format(path, fmt) == "csv":
+        return _dataset_from_csv(path)
+    return _dataset_from_obj(_read_json(path), f"{path}: ")
+
+
 def load_dataset(path, fmt: str = "auto") -> QraDataset:
     """Load and validate a dataset; raises on parse or validation errors."""
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"{path}: no such file")
-    fmt = _resolve_format(path, fmt)
-    if fmt == "json":
-        try:
-            with _read_errors(path):
-                obj = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: "
-                             f"{exc.msg}") from exc
-        if not isinstance(obj, dict):
-            raise ParseError(f"{path}: top-level JSON value must be an object")
-        dataset = dataset_from_obj(obj)
-    elif fmt == "csv":
-        dataset = _dataset_from_csv(path)
-    else:
-        raise SchemaError(f"unknown format {fmt!r}")
-    return _validated(dataset)
+    return _validated(_read_dataset(path, fmt))
 
 
 def save_dataset(dataset: QraDataset, path, fmt: str = "auto") -> None:
     """Write a dataset to disk; CSV also writes the .meta.json sidecar."""
     path = Path(path)
-    fmt = _resolve_format(path, fmt)
-    if fmt == "json":
-        path.write_text(json.dumps(dataset_to_obj(dataset), indent=2,
-                                   ensure_ascii=False) + "\n", encoding="utf-8")
-    elif fmt == "csv":
+    if _resolve_format(path, fmt) == "csv":
         with path.open("w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(_dataset_to_csv_rows(dataset))
-        obj = dataset_to_obj(dataset)
-        meta = {k: obj[k] for k in ("schema", "objects", "measurands")}
-        _meta_path(path).write_text(json.dumps(meta, indent=2, ensure_ascii=False)
-                                    + "\n", encoding="utf-8")
+        path, obj = _meta_path(path), _header_to_obj(dataset)
     else:
-        raise SchemaError(f"unknown format {fmt!r}")
+        obj = dataset_to_obj(dataset)
+    path.write_text(json.dumps(obj, indent=2, ensure_ascii=False) + "\n",
+                    encoding="utf-8")
+
+
+def _read_bundled() -> QraDataset:
+    """The packaged benchmark dataset, parsed but not validated."""
+    path = resources.files("qrakit") / "data" / "qra_benchmark.json"
+    return _dataset_from_obj(_read_json(path), f"{path}: ")
 
 
 def bundled_paper_dataset() -> QraDataset:
     """The packaged 116-measurement benchmark dataset (18 assessable pairs)."""
-    text = (resources.files("qrakit") / "data" / "qra_benchmark.json").read_text(
-        encoding="utf-8"
-    )
-    return _validated(dataset_from_obj(json.loads(text)))  # errors: a packaging defect
+    return _validated(_read_bundled())  # errors: a packaging defect

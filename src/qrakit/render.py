@@ -1,8 +1,8 @@
 """Render assessment reports as text, markdown, CSV or JSON documents.
 
 Rendering is deterministic: the same report and spec always produce the
-same string. CV* is shown to 3 decimals and means/stdevs to 2 by default;
-JSON keeps full precision.
+same string. Reports are shown in input order, CV* to 3 decimals and the
+other statistics to 2, with the normality caveat; JSON keeps full precision.
 """
 from __future__ import annotations
 
@@ -25,28 +25,13 @@ PRECISION_CSV_HEADER = ["object", "measurand", "n", "mean", "stdev",
 @dataclass(frozen=True)
 class RenderSpec:
     format: str = "text"  # text, markdown, csv, json
-    decimals_cv: int = 3
-    decimals_stats: int = 2
-    include_caveats: bool = True
-    sort_by_cv: bool = False
 
     def __post_init__(self):
         if self.format not in ("text", "markdown", "csv", "json"):
             raise ValueError(f"unknown render format {self.format!r}")
-        for d in (self.decimals_cv, self.decimals_stats):
-            if not 0 <= d <= 10:
-                raise ValueError("decimals must be in [0, 10]")
 
 
-def _fmt(x: float, decimals: int) -> str:
-    return f"{x:.{decimals}f}"
-
-
-def _rows(reports, spec):
-    reports = list(reports)
-    if spec.sort_by_cv:
-        reports.sort(key=lambda r: r.precision.cv_star)
-    ds, dc = spec.decimals_stats, spec.decimals_cv
+def _rows(reports):
     rows = []
     for r in reports:
         p = r.precision
@@ -55,13 +40,13 @@ def _rows(reports, spec):
             r.measurand.id,
             ", ".join(str(m.value) for m in r.measurements),
             str(p.n),
-            _fmt(p.mean, ds),
-            _fmt(p.s_star, ds),
-            _fmt(p.ci95[0], ds),
-            _fmt(p.ci95[1], ds),
-            _fmt(p.cv_star, dc),
+            f"{p.mean:.2f}",
+            f"{p.s_star:.2f}",
+            f"{p.ci95[0]:.2f}",
+            f"{p.ci95[1]:.2f}",
+            f"{p.cv_star:.3f}",
         ])
-    return reports, rows
+    return rows
 
 
 _TABLE_HEADER = ["object", "measurand", "values", "n", "mean", "stdev",
@@ -78,6 +63,12 @@ def _text_table(header, rows):
     return lines
 
 
+def _csv_table(rows) -> str:
+    buf = _io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def _markdown_table(header, rows):
     lines = ["| " + " | ".join(header) + " |",
              "| " + " | ".join("---" for _ in header) + " |"]
@@ -90,14 +81,11 @@ def render_precision_table(reports, spec: RenderSpec = RenderSpec()) -> str:
     """One row per report: sample, de-biased stdev with CI, and CV*."""
     if not reports:
         raise ValueError("no reports to render")
-    ordered, rows = _rows(reports, spec)
+    rows = _rows(reports)
 
     if spec.format == "csv":
-        buf = _io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(PRECISION_CSV_HEADER)
-        writer.writerows(row[:2] + row[3:] for row in rows)  # no values column
-        return buf.getvalue()
+        return _csv_table([PRECISION_CSV_HEADER,
+                           *(row[:2] + row[3:] for row in rows)])  # no values
 
     if spec.format == "json":
         doc = {
@@ -116,18 +104,16 @@ def render_precision_table(reports, spec: RenderSpec = RenderSpec()) -> str:
                     "cv_star": r.precision.cv_star,
                     "classification": r.classification,
                 }
-                for r in ordered
-            ]
+                for r in reports
+            ],
+            "caveats": [NORMALITY_CAVEAT],
         }
-        if spec.include_caveats:
-            doc["caveats"] = [NORMALITY_CAVEAT]
         return json.dumps(doc, indent=2) + "\n"
 
     table = _text_table if spec.format == "text" else _markdown_table
     lines = table(_TABLE_HEADER, [row[:6] + [f"[{row[6]}, {row[7]}]", row[8]]
                                   for row in rows])
-    if spec.include_caveats:
-        lines += ["", NORMALITY_CAVEAT]
+    lines += ["", NORMALITY_CAVEAT]
     return "\n".join(lines) + "\n"
 
 
@@ -163,13 +149,9 @@ def render_condition_matrix(report: QraReport,
         return json.dumps(doc, indent=2) + "\n"
 
     if spec.format == "csv":
-        buf = _io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        writer.writerow(["verdict"] + [report.diff.verdicts[name]
-                                       for name in report.diff.conditions])
-        return buf.getvalue() + class_line + "\n"
+        verdicts = ["verdict"] + [report.diff.verdicts[name]
+                                  for name in report.diff.conditions]
+        return _csv_table([header, *rows, verdicts]) + class_line + "\n"
 
     table = _text_table if spec.format == "text" else _markdown_table
     title = f"{report.object.id} / {report.measurand.id}"

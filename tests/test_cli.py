@@ -5,7 +5,7 @@ import pytest
 
 from qrakit import errors
 from qrakit.cli import main
-from qrakit.io import bundled_paper_dataset, save_dataset
+from qrakit.io import bundled_paper_dataset, save_dataset, validate_dataset
 
 
 BAD = Path(__file__).resolve().parent / "data" / "bad"
@@ -148,6 +148,23 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", "--input", str(path))
         assert code == 0
 
+    @pytest.mark.parametrize("source", ["builtin", "csv"])
+    def test_validates_once(self, capsys, monkeypatch, tmp_path, source):
+        if source == "csv":
+            source = str(tmp_path / "data.csv")
+            save_dataset(bundled_paper_dataset(), source)
+        calls = []
+
+        def counting(dataset):
+            calls.append(dataset)
+            return validate_dataset(dataset)
+
+        monkeypatch.setattr("qrakit.io.validate_dataset", counting)
+        monkeypatch.setattr("qrakit.cli.validate_dataset", counting)
+        code, out, _ = run(capsys, "validate", "--input", source)
+        assert code == 0 and out.startswith("ok: 116 measurements")
+        assert len(calls) == 1
+
 
 class TestBadInput:
     @pytest.mark.parametrize("argv", [
@@ -160,6 +177,18 @@ class TestBadInput:
         code, out, err = run(capsys, *argv)
         assert code in (1, 2, 3) and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("path", [
+        path for path in sorted(BAD.glob("*.json"))
+        if not path.name.endswith(".meta.json")
+    ], ids=lambda path: path.name)
+    def test_json_errors_start_with_the_path(self, capsys, path):
+        code, out, err = run(capsys, "assess", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1
+        row = {"non_numeric_value.json": 2, "conditions_not_object.json": 1}
+        if path.name in row:
+            assert err.startswith(f"error: {path}: measurement {row[path.name]}: ")
 
     def test_csv_header_errors_name_file_and_column(self, capsys):
         for name, column in (("sidecar_missing_column.csv", "'cond.performed_by'"),
@@ -196,6 +225,15 @@ class TestBadInput:
         code, _, err = run(capsys, "assess", "--input", str(path))
         assert code == 1
         assert err == f"error: {sidecar}: {message}\n"
+
+    def test_sidecar_not_json(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        save_dataset(bundled_paper_dataset(), path)
+        sidecar = tmp_path / "data.meta.json"
+        sidecar.write_text('{"schema": ', encoding="utf-8")
+        code, _, err = run(capsys, "assess", "--input", str(path))
+        assert code == 1
+        assert err == f"error: {sidecar}: line 1 column 12: Expecting value\n"
 
     def test_bad_csv_value(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

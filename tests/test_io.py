@@ -78,6 +78,17 @@ class TestRoundTrip:
     def test_obj_round_trip(self, ds):
         assert dataset_from_obj(dataset_to_obj(ds)) == ds
 
+    def test_null_source_reads_as_empty(self, ds, tmp_path):
+        obj = dataset_to_obj(ds)
+        obj["measurements"][0]["source"] = None
+        del obj["measurements"][1]["source"]
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        loaded = load_dataset(path)
+        assert loaded.measurements[0].source == loaded.measurements[1].source == ""
+        save_dataset(loaded, tmp_path / "data.csv")
+        assert load_dataset(tmp_path / "data.csv") == loaded
+
     def test_csv_field_names(self, ds, tmp_path):
         path = tmp_path / "data.csv"
         save_dataset(ds, path)
@@ -182,6 +193,20 @@ class TestLoadErrors:
         with pytest.raises(SchemaError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("row, message", [
+        (["A", "M", 1.0], "measurement 2: not a JSON object"),
+        ({"object": "A", "measurand": "M", "value": 1.0, "conditions": "abc"},
+         "measurement 2: conditions is not a JSON object"),
+        ({"object": "A", "measurand": "M", "value": 1.0, "conditions": ["a"]},
+         "measurement 2: conditions is not a JSON object"),
+    ])
+    def test_row_not_an_object(self, row, message):
+        obj = {"schema": {"conditions": []}, "objects": [{"id": "A"}],
+               "measurands": [{"id": "M"}],
+               "measurements": [{"object": "A", "measurand": "M", "value": 2.0}, row]}
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            dataset_from_obj(obj)
+
     def test_value_below_scale_min(self, ds, tmp_path):
         obj = dataset_to_obj(ds)
         obj["measurements"][0]["value"] = 0.5  # Clarity scale starts at 1
@@ -196,6 +221,10 @@ class TestLoadErrors:
         path.write_text("x")
         with pytest.raises(SchemaError):
             load_dataset(path)
+        with pytest.raises(SchemaError, match="unknown format 'xlsx'"):
+            load_dataset(path, fmt="xlsx")
+        with pytest.raises(SchemaError, match="unknown format 'xlsx'"):
+            save_dataset(ds, path, fmt="xlsx")
 
 
 class TestValidateDataset:

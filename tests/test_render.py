@@ -12,7 +12,6 @@ from qrakit.model import (
     make_measurement,
 )
 from qrakit.render import (
-    NORMALITY_CAVEAT,
     RenderSpec,
     render_condition_matrix,
     render_precision_table,
@@ -79,21 +78,6 @@ class TestPrecisionTable:
         doc = render_precision_table(pass_reports, RenderSpec(format="text"))
         assert "[-24.05, 34.24]" in doc
 
-    def test_caveat_toggle(self, pass_reports):
-        with_caveat = render_precision_table(pass_reports, RenderSpec())
-        without = render_precision_table(
-            pass_reports, RenderSpec(include_caveats=False))
-        assert NORMALITY_CAVEAT in with_caveat
-        assert NORMALITY_CAVEAT not in without
-
-    def test_sort_by_cv(self, nts_reports):
-        doc = render_precision_table(
-            nts_reports, RenderSpec(format="csv", sort_by_cv=True,
-                                    include_caveats=False))
-        cv_values = [float(line.rsplit(",", 1)[1])
-                     for line in doc.splitlines()[1:]]
-        assert cv_values == sorted(cv_values)
-
     def test_deterministic(self, nts_reports):
         spec = RenderSpec(format="markdown")
         assert render_precision_table(nts_reports, spec) == \
@@ -111,8 +95,6 @@ class TestPrecisionTable:
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
             RenderSpec(format="pdf")
-        with pytest.raises(ValueError):
-            RenderSpec(decimals_cv=11)
 
 
 class TestConditionMatrix:
