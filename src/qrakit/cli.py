@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 dataset/validation errors, 2 usage errors,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -25,12 +24,6 @@ from .sim import simulate
 EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_USAGE = 2
-
-
-def _styled(text: str) -> str:
-    if os.environ.get("QRA_NO_COLOR") or not sys.stdout.isatty():
-        return text
-    return f"\x1b[1m{text}\x1b[0m"
 
 
 def _load(args):
@@ -105,7 +98,7 @@ def cmd_subgroup(args) -> int:
 def cmd_simulate(args) -> int:
     result = simulate(args.n, args.sigma, args.trials, args.seed)
     lines = [
-        _styled(f"estimator diagnostics (seed {result.seed})"),
+        f"estimator diagnostics (seed {result.seed})",
         f"n          {result.n}",
         f"sigma      {result.sigma:g}",
         f"trials     {result.trials}",

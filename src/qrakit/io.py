@@ -14,9 +14,9 @@ import datetime
 import json
 import math
 from collections import Counter
-from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
+from io import StringIO
 from pathlib import Path
 
 from .errors import ParseError, QraError, SchemaError, ValidationError
@@ -101,14 +101,8 @@ def _header_to_obj(dataset: QraDataset) -> dict:
             for o in dataset.objects
         ],
         "measurands": [
-            {
-                "id": m.id,
-                "display_name": m.display_name,
-                "unit": m.unit,
-                "scale_min": m.scale_min,
-                "scale_max": m.scale_max,
-                "value_kind": m.value_kind,
-            }
+            {"id": m.id, "display_name": m.display_name, "unit": m.unit,
+             "scale_min": m.scale_min, "scale_max": m.scale_max, "value_kind": m.value_kind}
             for m in dataset.measurands
         ],
     }
@@ -117,14 +111,9 @@ def _header_to_obj(dataset: QraDataset) -> dict:
 def dataset_to_obj(dataset: QraDataset) -> dict:
     obj = _header_to_obj(dataset)
     obj["measurements"] = [
-        {
-            "object": m.object,
-            "measurand": m.measurand,
-            "value": m.value,
-            "source": m.source,
-            "timestamp": m.timestamp.isoformat() if m.timestamp else None,
-            "conditions": dict(zip(m.names, m.labels)),
-        }
+        {"object": m.object, "measurand": m.measurand, "value": m.value, "source": m.source,
+         "timestamp": m.timestamp.isoformat() if m.timestamp else None,
+         "conditions": dict(zip(m.names, m.labels))}
         for m in dataset.measurements
     ]
     return obj
@@ -140,14 +129,10 @@ def _field_error(where: str, exc: Exception) -> QraError:
     return ParseError(f"{where}{exc}")
 
 
-@contextmanager
-def _read_errors(path):
-    """Report an unreadable, non-UTF-8 or non-JSON file as a ParseError naming it."""
+def _read_text(path) -> str:
+    """A file's text, decoded as UTF-8 with its newlines kept."""
     try:
-        yield
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: "
-                         f"{exc.msg}") from exc
+        return path.read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         # strerror drops OSError's "[Errno N]" prefix; decode errors have none
         raise ParseError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
@@ -155,11 +140,23 @@ def _read_errors(path):
 
 def _read_json(path) -> dict:
     """The JSON object in a data file or CSV sidecar."""
-    with _read_errors(path):
-        obj = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        obj = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: "
+                         f"{exc.msg}") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: top-level JSON value must be an object")
     return obj
+
+
+def _array(obj: dict, key: str, where: str) -> list:
+    """``obj[key]``, which must be a JSON array; errors start with ``where``."""
+    if key not in obj:
+        raise SchemaError(f"{where}missing required field: {key!r}")
+    if not isinstance(obj[key], list):
+        raise ParseError(f"{where}{key!r} is not a JSON array")
+    return obj[key]
 
 
 def _header_from_obj(obj: dict, where: str):
@@ -167,23 +164,20 @@ def _header_from_obj(obj: dict, where: str):
     errors start with ``where``."""
     try:
         schema = ConditionSchema(conditions=tuple(
-            (c["name"], c["category"]) for c in obj["schema"]["conditions"]
+            (c["name"], c["category"])
+            for c in _array(obj["schema"], "conditions", where)
         ))
         objects = tuple(
             ObjectRef(id=o["id"], display_name=o.get("display_name", o["id"]),
                       description=o.get("description"))
-            for o in obj["objects"]
+            for o in _array(obj, "objects", where)
         )
         measurands = tuple(
-            Measurand(
-                id=m["id"],
-                display_name=m.get("display_name", m["id"]),
-                unit=m.get("unit", ""),
-                scale_min=float(m.get("scale_min", 0.0)),
-                scale_max=None if m.get("scale_max") is None else float(m["scale_max"]),
-                value_kind=m.get("value_kind", "continuous"),
-            )
-            for m in obj["measurands"]
+            Measurand(id=m["id"], display_name=m.get("display_name", m["id"]),
+                      unit=m.get("unit", ""), scale_min=float(m.get("scale_min", 0.0)),
+                      scale_max=None if m.get("scale_max") is None else float(m["scale_max"]),
+                      value_kind=m.get("value_kind", "continuous"))
+            for m in _array(obj, "measurands", where)
         )
     except _FIELD_ERRORS as exc:
         raise _field_error(where, exc) from exc
@@ -218,9 +212,7 @@ def _measurements(rows, schema: ConditionSchema, where) -> tuple:
 def _dataset_from_obj(obj: dict, where: str) -> QraDataset:
     """``dataset_from_obj``; errors start with ``where``, the file's name."""
     schema, objects, measurands = _header_from_obj(obj, where)
-    if "measurements" not in obj:
-        raise SchemaError(f"{where}missing required field: 'measurements'")
-    measurements = _measurements(obj["measurements"], schema,
+    measurements = _measurements(_array(obj, "measurements", where), schema,
                                  lambda n: f"{where}measurement {n}: ")
     return QraDataset(schema=schema, objects=objects,
                       measurands=measurands, measurements=measurements)
@@ -256,47 +248,51 @@ def _dataset_to_csv_rows(dataset: QraDataset):
 def _dataset_from_csv(path: Path) -> QraDataset:
     meta_path = _meta_path(path)
     meta = _read_json(meta_path) if meta_path.exists() else None
-
-    with _read_errors(path), path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError(f"{path}: empty file")
+    # decoded whole, so that a bad byte is not blamed on the row before it
+    reader = csv.DictReader(StringIO(_read_text(path), newline=""))
+    try:
         fields = reader.fieldnames
+        if fields is None:
+            raise ParseError(f"{path}: empty file")
         repeated = next((f for f in fields if fields.count(f) > 1), None)
         if repeated is not None:
             raise SchemaError(f"{path}: repeated column {repeated!r}")
         for col in ("object", "measurand", "value"):
             if col not in fields:
                 raise SchemaError(f"{path}: missing required column {col!r}")
-        cond_names = [f[len(_COND_PREFIX):] for f in fields
-                      if f.startswith(_COND_PREFIX)]
-        raw_rows = list(reader)
-    if not raw_rows:
+        if meta is not None:
+            schema, objects, measurands = _header_from_obj(meta, f"{meta_path}: ")
+            for name in schema.names:
+                if _COND_PREFIX + name not in fields:
+                    raise SchemaError(f"{path}: no column {_COND_PREFIX + name!r} for "
+                                      f"condition {name!r} declared in {meta_path}")
+        else:
+            # no sidecar: the schema comes from the header; the objects and
+            # measurands come from the measurements, once they are built
+            default_categories = dict(default_condition_schema().conditions)
+            schema = ConditionSchema(conditions=tuple(
+                (name, default_categories.get(name, "measurement_procedure"))
+                for name in (f[len(_COND_PREFIX):] for f in fields
+                             if f.startswith(_COND_PREFIX))
+            ))
+        columns = [(name, _COND_PREFIX + name) for name in schema.names]
+
+        def rows():
+            for r in reader:
+                r["conditions"] = {name: r[column] for name, column in columns}
+                yield r
+
+        # a row is reported at the line on which its record ends
+        measurements = _measurements(rows(), schema, lambda _: f"{path}:{reader.line_num}: ")
+    except csv.Error as exc:  # no line: line_num may not have reached the bad line
+        raise ParseError(f"{path}: {exc}") from exc
+    if not measurements:
         raise ParseError(f"{path}: no measurement rows")
-
-    if meta is not None:
-        schema, objects, measurands = _header_from_obj(meta, f"{meta_path}: ")
-        for name in schema.names:
-            if _COND_PREFIX + name not in fields:
-                raise SchemaError(f"{path}: no column {_COND_PREFIX + name!r} for "
-                                  f"condition {name!r} declared in {meta_path}")
-    else:
-        # No sidecar: derive a minimal description from the rows themselves.
-        default_categories = dict(default_condition_schema().conditions)
-        schema = ConditionSchema(conditions=tuple(
-            (name, default_categories.get(name, "measurement_procedure"))
-            for name in cond_names
-        ))
+    if meta is None:
         objects = tuple(ObjectRef(id=o, display_name=o)
-                        for o in dict.fromkeys(r["object"] for r in raw_rows))
+                        for o in dict.fromkeys(m.object for m in measurements))
         measurands = tuple(Measurand(id=m, display_name=m, unit="")
-                           for m in dict.fromkeys(r["measurand"] for r in raw_rows))
-
-    columns = [(name, _COND_PREFIX + name) for name in schema.names]
-    for r in raw_rows:
-        r["conditions"] = {name: r[column] for name, column in columns}
-    # the header is line 1, so row n is on line n + 1
-    measurements = _measurements(raw_rows, schema, lambda n: f"{path}:{n + 1}: ")
+                           for m in dict.fromkeys(m.measurand for m in measurements))
     return QraDataset(schema=schema, objects=objects,
                       measurands=measurands, measurements=measurements)
 
@@ -318,8 +314,10 @@ def _resolve_format(path: Path, fmt: str) -> str:
     return fmt
 
 
-def _validated(dataset: QraDataset) -> QraDataset:
-    errors = [i for i in validate_dataset(dataset) if i.severity == "error"]
+def _validated(dataset: QraDataset, where: str = "") -> QraDataset:
+    """The dataset, or a ValidationError whose locations start with ``where``."""
+    errors = [replace(i, location=where + i.location)
+              for i in validate_dataset(dataset) if i.severity == "error"]
     if errors:
         raise ValidationError(errors)
     return dataset
@@ -335,7 +333,7 @@ def _read_dataset(path, fmt: str = "auto") -> QraDataset:
 
 def load_dataset(path, fmt: str = "auto") -> QraDataset:
     """Load and validate a dataset; raises on parse or validation errors."""
-    return _validated(_read_dataset(path, fmt))
+    return _validated(_read_dataset(path, fmt), f"{path}: ")
 
 
 def save_dataset(dataset: QraDataset, path, fmt: str = "auto") -> None:

@@ -20,6 +20,13 @@ MEASUREMENT_PROCEDURE = "measurement_procedure"
 CONDITION_CATEGORIES = (OBJECT_CONDITION, MEASUREMENT_METHOD, MEASUREMENT_PROCEDURE)
 
 
+def _check_id(kind: str, value) -> None:
+    if not isinstance(value, str):
+        raise TypeError(f"{kind} id must be a string, not {type(value).__name__}")
+    if not value:
+        raise ValueError(f"{kind} id must be non-empty")
+
+
 @dataclass(frozen=True)
 class Measurand:
     """A named quantity with the scale metadata needed for score shifting."""
@@ -32,8 +39,7 @@ class Measurand:
     value_kind: str = "continuous"  # "continuous" or "percentage"
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("measurand id must be non-empty")
+        _check_id("measurand", self.id)
         if self.scale_max is not None and not self.scale_max > self.scale_min:
             raise ValueError(
                 f"measurand {self.id!r}: scale_max must exceed scale_min"
@@ -51,8 +57,7 @@ class ObjectRef:
     description: str | None = None
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("object id must be non-empty")
+        _check_id("object", self.id)
 
 
 @dataclass(frozen=True)
@@ -155,6 +160,8 @@ def make_measurement(object_id, measurand_id, value, conditions=None,
     "" or missing for Unknown). When a schema is given, the measurement has
     one label per schema condition, in schema order.
     """
+    _check_id("object", object_id)
+    _check_id("measurand", measurand_id)
     conditions = conditions or {}
     names = schema.names if schema is not None else tuple(conditions)
     return Measurement(

@@ -186,9 +186,12 @@ class TestBadInput:
         code, out, err = run(capsys, "assess", "--input", str(path))
         assert code == 1 and out == ""
         assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1
-        row = {"non_numeric_value.json": 2, "conditions_not_object.json": 1}
+        row = {"non_numeric_value.json": 2, "conditions_not_object.json": 1,
+               "object_id_not_string.json": 1}
         if path.name in row:
             assert err.startswith(f"error: {path}: measurement {row[path.name]}: ")
+        if path.name == "measurements_not_array.json":
+            assert err == f"error: {path}: 'measurements' is not a JSON array\n"
 
     def test_csv_header_errors_name_file_and_column(self, capsys):
         for name, column in (("sidecar_missing_column.csv", "'cond.performed_by'"),
@@ -241,6 +244,39 @@ class TestBadInput:
         code, _, err = run(capsys, "assess", "--input", str(path))
         assert code == 1
         assert err.startswith(f"error: {path}:3: ") and "'high'" in err
+
+    def test_bad_csv_row_is_reported_where_its_record_ends(self, capsys):
+        # record 1 spans lines 2-3 (a quoted newline), so record 2 is on line 4
+        path = BAD / "quoted_newline.csv"
+        code, _, err = run(capsys, "assess", "--input", str(path))
+        assert code == 1
+        assert err.startswith(f"error: {path}:4: ") and "'high'" in err
+
+    def test_bad_byte_after_the_first_read_buffer(self, capsys, tmp_path):
+        path = tmp_path / "latebyte.csv"
+        rows = "".join(f"A{i % 50},M,{i % 7 + 1}.0\n" for i in range(20000))
+        assert len(rows) > 65536
+        path.write_bytes(b"object,measurand,value\n" + rows.encode() + b"A,M,\xff1.0\n")
+        code, out, err = run(capsys, "assess", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+        assert len(err.splitlines()) == 1
+
+    def test_csv_field_over_the_limit(self, capsys, tmp_path):
+        path = tmp_path / "bigfield.csv"
+        path.write_text("object,measurand,value,source\n"
+                        f"A,M,1.0,{'x' * 131073}\nA,M,2.0,s\n")
+        code, out, err = run(capsys, "assess", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: field larger than field limit (131072)\n"
+
+    def test_validation_error_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "below.csv"
+        path.write_text("object,measurand,value\nA,M,-5\nA,M,1\n")
+        code, out, err = run(capsys, "assess", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: measurement 1 (A, M): ")
+        assert len(err.splitlines()) == 1
 
     def test_bad_csv_timestamp(self, capsys, tmp_path):
         path = tmp_path / "dated.csv"

@@ -207,6 +207,29 @@ class TestLoadErrors:
         with pytest.raises(ParseError, match=f"^{message}$"):
             dataset_from_obj(obj)
 
+    @pytest.mark.parametrize("key", ["conditions", "objects", "measurands", "measurements"])
+    def test_top_level_list_not_an_array(self, key):
+        obj = {"schema": {"conditions": []}, "objects": [{"id": "A"}],
+               "measurands": [{"id": "M"}],
+               "measurements": [{"object": "A", "measurand": "M", "value": 2.0}]}
+        (obj["schema"] if key == "conditions" else obj)[key] = {"id": "A"}
+        with pytest.raises(ParseError, match=f"^'{key}' is not a JSON array$"):
+            dataset_from_obj(obj)
+
+    def test_csv_without_sidecar(self, tmp_path):
+        # the schema comes from the header; objects and measurands from the
+        # rows, in first-appearance order
+        path = tmp_path / "plain.csv"
+        path.write_text("object,measurand,value,cond.test_set,cond.lab\n"
+                        "B,M2,1.0,wmt,x\nA,M1,2.0,,y\nB,M1,3.0,wmt,\n")
+        ds = load_dataset(path)
+        assert [o.id for o in ds.objects] == ["B", "A"]
+        assert [m.id for m in ds.measurands] == ["M2", "M1"]
+        assert ds.schema.conditions == (("test_set", "measurement_procedure"),
+                                        ("lab", "measurement_procedure"))
+        assert [m.labels for m in ds.measurements] == [
+            ("wmt", "x"), (None, "y"), ("wmt", None)]
+
     def test_value_below_scale_min(self, ds, tmp_path):
         obj = dataset_to_obj(ds)
         obj["measurements"][0]["value"] = 0.5  # Clarity scale starts at 1

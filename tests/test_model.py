@@ -107,6 +107,26 @@ class TestSharedCells:
         assert [m.condition(name) for name in "abc"] == [UNKNOWN, known("first"), UNKNOWN]
 
 
+class TestIds:
+    def test_object_id_must_be_a_string(self):
+        with pytest.raises(TypeError, match="object id must be a string"):
+            ObjectRef(id=5, display_name="five")
+        with pytest.raises(ValueError, match="object id must be non-empty"):
+            ObjectRef(id="", display_name="none")
+
+    def test_measurand_id_must_be_a_string(self):
+        with pytest.raises(TypeError, match="measurand id must be a string"):
+            Measurand(id=["x"], display_name="x", unit="")
+
+    def test_measurement_ids_must_be_strings(self):
+        with pytest.raises(TypeError, match="object id must be a string"):
+            make_measurement(["A"], "m", 1.0)
+        with pytest.raises(TypeError, match="measurand id must be a string"):
+            make_measurement("A", 7, 1.0)
+        with pytest.raises(ValueError, match="object id must be non-empty"):
+            make_measurement("", "m", 1.0)
+
+
 class TestMeasurand:
     def test_scale_max_must_exceed_min(self):
         with pytest.raises(ValueError):
