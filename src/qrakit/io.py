@@ -119,6 +119,52 @@ def dataset_to_obj(dataset: QraDataset) -> dict:
     return obj
 
 
+# Every item of a list on its own line: JSON escapes each control character
+# inside a string, so a raw newline in the text can only separate items.
+_encode_lines = json.JSONEncoder(ensure_ascii=False, separators=("\n", ": ")).encode
+
+
+def _header_text(dataset: QraDataset) -> str:
+    return json.dumps(_header_to_obj(dataset), indent=2, ensure_ascii=False)
+
+
+def _row_template(keys) -> str:
+    """One measurement of ``dataset_to_obj`` as ``json.dumps(indent=2)`` lays
+    it out in the measurements list, with ``%s`` for each encoded leaf: object,
+    measurand, value, source, timestamp, then one label per key."""
+    conditions = ",\n".join(
+        f"        {json.encoder.encode_basestring(key).replace('%', '%%')}: %s"
+        for key in keys)
+    return ('    {\n      "object": %s,\n      "measurand": %s,\n      "value": %s,\n'
+            '      "source": %s,\n      "timestamp": %s,\n      "conditions": '
+            + ("{\n" + conditions + "\n      }" if keys else "{}") + "\n    }")
+
+
+def _dataset_to_json(dataset: QraDataset) -> str:
+    """``json.dumps(dataset_to_obj(dataset), indent=2, ensure_ascii=False)``
+    and a newline, with the measurements' leaves encoded by json's C encoder
+    in one call and poured into one row template per distinct ``names``."""
+    leaves, rows, templates = [], [], {}
+    for m in dataset.measurements:
+        names = m.names
+        entry = templates.get(names)
+        if entry is None:
+            keys = tuple(dict.fromkeys(names))
+            # a repeated name keeps its first place and its last label, as in a dict
+            entry = templates[names] = (_row_template(keys), len(keys) < len(names))
+        template, repeated = entry
+        rows.append(template)
+        leaves += (m.object, m.measurand, m.value, m.source,
+                   m.timestamp.isoformat() if m.timestamp else None)
+        leaves += dict(zip(names, m.labels)).values() if repeated else m.labels
+    measurements = "[]"
+    if rows:
+        body = ",\n".join(rows) % tuple(_encode_lines(leaves)[1:-1].split("\n"))
+        measurements = f"[\n{body}\n  ]"
+    # the header's text ends in "\n}"; the measurements go before it
+    return f'{_header_text(dataset)[:-2]},\n  "measurements": {measurements}\n}}\n'
+
+
 _FIELD_ERRORS = (KeyError, TypeError, ValueError)
 
 
@@ -159,25 +205,36 @@ def _array(obj: dict, key: str, where: str) -> list:
     return obj[key]
 
 
+def _entries(obj: dict, key: str, where: str) -> list:
+    """``obj[key]``, which must be a JSON array of JSON objects."""
+    entries = _array(obj, key, where)
+    for n, entry in enumerate(entries, start=1):
+        if not isinstance(entry, dict):
+            raise ParseError(f"{where}{key} entry {n} is not a JSON object")
+    return entries
+
+
 def _header_from_obj(obj: dict, where: str):
     """The schema, objects and measurands of a JSON dataset or CSV sidecar;
     errors start with ``where``."""
     try:
+        if not isinstance(obj["schema"], dict):
+            raise ParseError(f"{where}'schema' is not a JSON object")
         schema = ConditionSchema(conditions=tuple(
             (c["name"], c["category"])
-            for c in _array(obj["schema"], "conditions", where)
+            for c in _entries(obj["schema"], "conditions", where)
         ))
         objects = tuple(
             ObjectRef(id=o["id"], display_name=o.get("display_name", o["id"]),
                       description=o.get("description"))
-            for o in _array(obj, "objects", where)
+            for o in _entries(obj, "objects", where)
         )
         measurands = tuple(
             Measurand(id=m["id"], display_name=m.get("display_name", m["id"]),
                       unit=m.get("unit", ""), scale_min=float(m.get("scale_min", 0.0)),
                       scale_max=None if m.get("scale_max") is None else float(m["scale_max"]),
                       value_kind=m.get("value_kind", "continuous"))
-            for m in _array(obj, "measurands", where)
+            for m in _entries(obj, "measurands", where)
         )
     except _FIELD_ERRORS as exc:
         raise _field_error(where, exc) from exc
@@ -245,6 +302,14 @@ def _dataset_to_csv_rows(dataset: QraDataset):
     return rows
 
 
+def _cell_count(row: dict, fields: list) -> int:
+    """The cells of a ``csv.DictReader`` row, which fills missing cells with
+    None and puts extra ones in a list under the key None."""
+    if None in row:
+        return len(fields) + len(row[None])
+    return sum(value is not None for value in row.values())
+
+
 def _dataset_from_csv(path: Path) -> QraDataset:
     meta_path = _meta_path(path)
     meta = _read_json(meta_path) if meta_path.exists() else None
@@ -270,15 +335,22 @@ def _dataset_from_csv(path: Path) -> QraDataset:
             # no sidecar: the schema comes from the header; the objects and
             # measurands come from the measurements, once they are built
             default_categories = dict(default_condition_schema().conditions)
-            schema = ConditionSchema(conditions=tuple(
-                (name, default_categories.get(name, "measurement_procedure"))
-                for name in (f[len(_COND_PREFIX):] for f in fields
-                             if f.startswith(_COND_PREFIX))
-            ))
+            try:
+                schema = ConditionSchema(conditions=tuple(
+                    (name, default_categories.get(name, "measurement_procedure"))
+                    for name in (f[len(_COND_PREFIX):] for f in fields
+                                 if f.startswith(_COND_PREFIX))
+                ))
+            except ValueError as exc:  # a bare "cond." column
+                raise SchemaError(f"{path}: {exc}") from exc
         columns = [(name, _COND_PREFIX + name) for name in schema.names]
+        last = fields[-1]
 
         def rows():
             for r in reader:
+                if r[last] is None or None in r:
+                    raise ValueError(f"row has {_cell_count(r, fields)} cells, "
+                                     f"header has {len(fields)}")
                 r["conditions"] = {name: r[column] for name, column in columns}
                 yield r
 
@@ -342,11 +414,10 @@ def save_dataset(dataset: QraDataset, path, fmt: str = "auto") -> None:
     if _resolve_format(path, fmt) == "csv":
         with path.open("w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(_dataset_to_csv_rows(dataset))
-        path, obj = _meta_path(path), _header_to_obj(dataset)
+        path, text = _meta_path(path), _header_text(dataset) + "\n"
     else:
-        obj = dataset_to_obj(dataset)
-    path.write_text(json.dumps(obj, indent=2, ensure_ascii=False) + "\n",
-                    encoding="utf-8")
+        text = _dataset_to_json(dataset)
+    path.write_text(text, encoding="utf-8")
 
 
 def _read_bundled() -> QraDataset:

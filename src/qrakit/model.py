@@ -20,11 +20,11 @@ MEASUREMENT_PROCEDURE = "measurement_procedure"
 CONDITION_CATEGORIES = (OBJECT_CONDITION, MEASUREMENT_METHOD, MEASUREMENT_PROCEDURE)
 
 
-def _check_id(kind: str, value) -> None:
+def _check_str(what: str, value) -> None:
     if not isinstance(value, str):
-        raise TypeError(f"{kind} id must be a string, not {type(value).__name__}")
+        raise TypeError(f"{what} must be a string, not {type(value).__name__}")
     if not value:
-        raise ValueError(f"{kind} id must be non-empty")
+        raise ValueError(f"{what} must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class Measurand:
     value_kind: str = "continuous"  # "continuous" or "percentage"
 
     def __post_init__(self):
-        _check_id("measurand", self.id)
+        _check_str("measurand id", self.id)
         if self.scale_max is not None and not self.scale_max > self.scale_min:
             raise ValueError(
                 f"measurand {self.id!r}: scale_max must exceed scale_min"
@@ -57,7 +57,7 @@ class ObjectRef:
     description: str | None = None
 
     def __post_init__(self):
-        _check_id("object", self.id)
+        _check_str("object id", self.id)
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,8 @@ class ConditionSchema:
 
     def __post_init__(self):
         names = [name for name, _ in self.conditions]
+        for name in names:
+            _check_str("condition name", name)
         if len(set(names)) != len(names):
             raise ValueError("condition names must be unique")
         for name, category in self.conditions:
@@ -160,10 +162,15 @@ def make_measurement(object_id, measurand_id, value, conditions=None,
     "" or missing for Unknown). When a schema is given, the measurement has
     one label per schema condition, in schema order.
     """
-    _check_id("object", object_id)
-    _check_id("measurand", measurand_id)
+    _check_str("object id", object_id)
+    _check_str("measurand id", measurand_id)
     conditions = conditions or {}
-    names = schema.names if schema is not None else tuple(conditions)
+    if schema is not None:
+        names = schema.names
+    else:
+        names = tuple(conditions)
+        for name in names:
+            _check_str("condition name", name)
     return Measurement(
         object=object_id,
         measurand=measurand_id,

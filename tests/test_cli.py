@@ -193,6 +193,23 @@ class TestBadInput:
         if path.name == "measurements_not_array.json":
             assert err == f"error: {path}: 'measurements' is not a JSON array\n"
 
+    @pytest.mark.parametrize("name, message", [
+        ("schema_not_object.json", "'schema' is not a JSON object"),
+        ("object_entry_not_object.json", "objects entry 1 is not a JSON object"),
+        ("measurand_entry_not_object.json", "measurands entry 2 is not a JSON object"),
+        ("condition_entry_not_object.json", "conditions entry 1 is not a JSON object"),
+        ("condition_name_not_string.json", "condition name must be a string, not int"),
+        ("empty_condition_name.csv", "condition name must be non-empty"),
+        ("short_row.csv", "row has 2 cells, header has 3"),
+        ("long_row.csv", "row has 4 cells, header has 3"),
+    ])
+    def test_header_and_row_shape_errors(self, capsys, name, message):
+        path = BAD / name
+        line = ":2" if name.endswith("_row.csv") else ""
+        code, out, err = run(capsys, "assess", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}{line}: {message}\n"
+
     def test_csv_header_errors_name_file_and_column(self, capsys):
         for name, column in (("sidecar_missing_column.csv", "'cond.performed_by'"),
                              ("repeated_column.csv", "'value'")):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qrakit.errors import ParseError, SchemaError, ValidationError
 from qrakit.io import (
+    _dataset_to_json,
     bundled_paper_dataset,
     dataset_from_obj,
     dataset_to_obj,
@@ -16,7 +17,10 @@ from qrakit.io import (
     validate_dataset,
 )
 from qrakit.model import (
+    CONDITION_CATEGORIES,
+    ConditionSchema,
     Measurand,
+    Measurement,
     ObjectRef,
     QraDataset,
     default_condition_schema,
@@ -141,6 +145,93 @@ class TestRoundTripProperty:
             assert load_dataset(path) == dataset
 
 
+# Text that JSON must escape, that %-formatting would read, beyond the BMP,
+# and empty; the empty string is an Unknown label and is no id or name.
+odd_text = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "%s", "%", "%%s", "%(a)s",
+                     "\U0001F600", "\u2028", 'a"b\\c\nd%s']),
+)
+odd_ids = odd_text.filter(bool)
+
+
+def json_dumps_text(dataset):
+    return json.dumps(dataset_to_obj(dataset), indent=2, ensure_ascii=False) + "\n"
+
+
+@st.composite
+def odd_datasets(draw, loadable):
+    """Datasets of odd text. Loadable ones have finite values in scale,
+    declared ids and every measurement built against the schema; the others
+    may hold NaN and infinities, undeclared ids, and measurements built
+    without a schema, whose names differ from the schema's."""
+    names = draw(st.lists(odd_ids, max_size=3, unique=True))
+    schema = ConditionSchema(conditions=tuple(
+        (name, draw(st.sampled_from(CONDITION_CATEGORIES))) for name in names))
+    objects = tuple(
+        ObjectRef(i, draw(odd_text), draw(st.one_of(st.none(), odd_text)))
+        for i in draw(st.lists(odd_ids, min_size=1, max_size=3, unique=True)))
+    measurands = tuple(
+        Measurand(i, draw(odd_text), draw(odd_text))
+        for i in draw(st.lists(odd_ids, min_size=1, max_size=2, unique=True)))
+    values = st.floats(0.0, 1e6) if loadable else st.floats()
+    own_names = st.just(None) if loadable else st.one_of(
+        st.none(), st.lists(odd_ids, max_size=3, unique=True))
+    measurements = []
+    for _ in range(draw(st.integers(0, 5))):
+        row_names = draw(own_names)
+        measurements.append(make_measurement(
+            draw(st.sampled_from([o.id for o in objects]) if loadable else odd_ids),
+            draw(st.sampled_from([m.id for m in measurands]) if loadable else odd_ids),
+            draw(values),
+            conditions={name: draw(st.one_of(st.none(), odd_text))
+                        for name in (names if row_names is None else row_names)},
+            source=draw(odd_text),
+            timestamp=draw(st.one_of(st.none(), st.dates())),
+            schema=schema if row_names is None else None,
+        ))
+    return QraDataset(schema=schema, objects=objects, measurands=measurands,
+                      measurements=tuple(measurements))
+
+
+class TestJsonWriter:
+    """The JSON writer's text is exactly json.dumps(indent=2) of dataset_to_obj."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(odd_datasets(loadable=False))
+    def test_text_matches_json_dumps(self, dataset):
+        assert _dataset_to_json(dataset) == json_dumps_text(dataset)
+
+    @settings(max_examples=60, deadline=None)
+    @given(odd_datasets(loadable=True))
+    def test_saved_bytes_match_json_dumps_and_load_back(self, dataset):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.json"
+            save_dataset(dataset, path)
+            assert path.read_bytes() == json_dumps_text(dataset).encode("utf-8")
+            assert load_dataset(path) == dataset
+
+    def test_edge_cases(self):
+        schema = default_condition_schema()
+        header = dict(objects=(ObjectRef("A", "A"),), measurands=(Measurand("M", "M", ""),))
+        cases = [
+            QraDataset(schema=schema, measurements=(), **header),
+            QraDataset(schema=ConditionSchema(conditions=()), objects=(), measurands=()),
+            QraDataset(schema=ConditionSchema(conditions=()), **header, measurements=(
+                make_measurement("A", "M", float("nan"), schema=ConditionSchema(())),
+                make_measurement("A", "M", -float("inf"), {"x": "1"}),
+                make_measurement("A", "M", 2, {"%": "%s"}, schema=None),
+            )),
+            # a repeated name keeps its first place and its last label, as a dict does
+            QraDataset(schema=schema, **header, measurements=(
+                Measurement("A", "M", 1.0, ("a", "b", "a"), ("x", None, "z")),
+                Measurement("A", "M", 1.0, ("a", "b"), ("x", None)),
+            )),
+        ]
+        for dataset in cases:
+            assert _dataset_to_json(dataset) == json_dumps_text(dataset)
+
+
 class TestConditionCells:
     def test_json_labels_load_as_text(self, ds, tmp_path):
         obj = dataset_to_obj(ds)
@@ -215,6 +306,34 @@ class TestLoadErrors:
         (obj["schema"] if key == "conditions" else obj)[key] = {"id": "A"}
         with pytest.raises(ParseError, match=f"^'{key}' is not a JSON array$"):
             dataset_from_obj(obj)
+
+    # more cases, as files, in tests/data/bad/
+    @pytest.mark.parametrize("breakage, message", [
+        (lambda obj: obj.update(schema=[]), "'schema' is not a JSON object"),
+        (lambda obj: obj["schema"]["conditions"].append("a"),
+         "conditions entry 2 is not a JSON object"),
+        (lambda obj: obj["objects"].append(["B"]), "objects entry 2 is not a JSON object"),
+        (lambda obj: obj["schema"]["conditions"][0].update(name=""),
+         "condition name must be non-empty"),
+    ])
+    def test_header_entry_not_an_object(self, breakage, message):
+        obj = {"schema": {"conditions": [{"name": "lab", "category": "object_condition"}]},
+               "objects": [{"id": "A"}], "measurands": [{"id": "M"}],
+               "measurements": [{"object": "A", "measurand": "M", "value": 2.0}]}
+        breakage(obj)
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            dataset_from_obj(obj)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("A,M,1.0\nA,M,1.0,9,10,11\n", "plain.csv:3: row has 6 cells, header has 3"),
+        ('A,M,1.0\n"A\nB"\n', "plain.csv:4: row has 1 cells, header has 3"),
+    ])
+    def test_csv_row_with_the_wrong_number_of_cells(self, tmp_path, rows, message):
+        path = tmp_path / "plain.csv"
+        path.write_text("object,measurand,value\n" + rows)
+        with pytest.raises(ParseError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == f"{tmp_path}/{message}"
 
     def test_csv_without_sidecar(self, tmp_path):
         # the schema comes from the header; objects and measurands from the

@@ -63,6 +63,23 @@ class TestDefaultConditionSchema:
                 ("a", "object_condition"), ("a", "measurement_method"),
             ))
 
+    @pytest.mark.parametrize("name, error, message", [
+        (5, TypeError, "condition name must be a string, not int"),
+        (["a"], TypeError, "condition name must be a string, not list"),
+        (None, TypeError, "condition name must be a string, not NoneType"),
+        ("", ValueError, "condition name must be non-empty"),
+    ])
+    def test_name_must_be_a_non_empty_string(self, name, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            ConditionSchema(conditions=(("ok", "object_condition"),
+                                        (name, "measurement_method")))
+
+    @pytest.mark.parametrize("name, error", [(5, TypeError), (None, TypeError),
+                                             ("", ValueError)])
+    def test_schemaless_measurement_names_must_be_non_empty_strings(self, name, error):
+        with pytest.raises(error, match="^condition name must be "):
+            make_measurement("A", "m", 1.0, conditions={"ok": "x", name: "y"})
+
 
 class TestConditionValue:
     def test_known_matches_equal_label(self):
