@@ -12,8 +12,10 @@ from pathlib import Path
 from .engine import assess_all, subgroup_assess
 from .errors import QraError
 from .io import (
+    _encode_error,
     _read_bundled,
     _read_dataset,
+    _utf8,
     bundled_paper_dataset,
     load_dataset,
     validate_dataset,
@@ -34,13 +36,17 @@ def _load(args):
 
 def _emit(args, document: str) -> None:
     if args.out:
+        data = _utf8(document, args.out)  # before the file is opened
         try:
-            Path(args.out).write_text(document, encoding="utf-8")
+            Path(args.out).write_bytes(data)
         except OSError as exc:
             raise argparse.ArgumentTypeError(
                 f"--out {args.out}: {exc.strerror or exc}") from exc
     else:
-        sys.stdout.write(document)
+        try:
+            sys.stdout.write(document)
+        except UnicodeEncodeError as exc:  # raised before anything is written
+            raise _encode_error("stdout", exc) from exc
 
 
 def _report_document(reports, args) -> str:

@@ -62,6 +62,12 @@ class ParseError(QraError):
     exit_code = 1
 
 
+class EncodeError(QraError):
+    """Text holds a character that cannot be written, such as a lone surrogate."""
+
+    exit_code = 1
+
+
 class SchemaError(QraError):
     """Input file is missing a required column or field."""
 

@@ -13,20 +13,24 @@ import csv
 import datetime
 import json
 import math
+import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from importlib import resources
 from io import StringIO
 from pathlib import Path
 
-from .errors import ParseError, QraError, SchemaError, ValidationError
+from .errors import EncodeError, ParseError, QraError, SchemaError, ValidationError
 from .model import (
     ConditionSchema,
     Measurand,
+    Measurement,
     ObjectRef,
     QraDataset,
+    _check_str,
+    _label,
     default_condition_schema,
-    make_measurement,
 )
 
 _RESERVED_COLUMNS = ("object", "measurand", "value", "source")
@@ -59,8 +63,22 @@ def validate_dataset(dataset: QraDataset):
             err(dup, f"duplicate {kind} id")
 
     index = dataset.index
-    schema_names = set(dataset.schema.names)
+    names = dataset.schema.names
+    schema_names = set(names)
+    # per measurand, the finite values within its scale; a row whose value is
+    # in them, whose ids are declared and whose names are the schema's has no
+    # issue, and only the other rows are checked one issue at a time
+    largest = sys.float_info.max
+    clean_values = {
+        m.id: (max(m.scale_min, -largest),
+               largest if m.scale_max is None else min(m.scale_max, largest))
+        for m in index.measurands.values()
+    }
     for row, m in enumerate(dataset.measurements, start=1):
+        bounds = clean_values.get(m.measurand)
+        if (bounds is not None and bounds[0] <= m.value <= bounds[1]
+                and m.names is names and m.object in index.objects):
+            continue
         loc = f"measurement {row} ({m.object}, {m.measurand})"
         if m.object not in index.objects:
             err(loc, f"references undeclared object {m.object!r}")
@@ -77,6 +95,9 @@ def validate_dataset(dataset: QraDataset):
         missing = schema_names.difference(m.names)
         if missing:
             warn(loc, f"no entry for conditions {sorted(missing)}; treated as Unknown")
+        extra = set(m.names).difference(schema_names)
+        if extra:
+            warn(loc, f"conditions {sorted(extra)} are not in the schema; not saved")
 
     for (obj, meas), members in index.groups.items():
         if len(members) < 2:
@@ -184,15 +205,41 @@ def _read_text(path) -> str:
         raise ParseError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
+def _encode_error(path, exc: UnicodeEncodeError) -> EncodeError:
+    return EncodeError(f"{path}: cannot write {exc.object[exc.start:exc.end]!r}: "
+                       f"{exc.reason}")
+
+
+def _utf8(text: str, path) -> bytes:
+    """``text`` as UTF-8; a lone surrogate is an EncodeError naming ``path``."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise _encode_error(path, exc) from exc
+
+
+# the only JSON text that decodes to a surrogate; a decoded UTF-8 file holds none
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def _read_json(path) -> dict:
     """The JSON object in a data file or CSV sidecar."""
+    text = _read_text(path)
     try:
-        obj = json.loads(_read_text(path))
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: "
                          f"{exc.msg}") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: top-level JSON value must be an object")
+    if _SURROGATE_ESCAPE.search(text):
+        # a pair of escapes decodes to one character; a lone half cannot be
+        # written back, so it is refused here rather than by the writer
+        try:
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ParseError(f"{path}: a JSON string holds the lone surrogate "
+                             f"{exc.object[exc.start:exc.end]!r}") from exc
     return obj
 
 
@@ -242,35 +289,62 @@ def _header_from_obj(obj: dict, where: str):
 
 
 def _measurements(rows, schema: ConditionSchema, where) -> tuple:
-    """One Measurement per row (a JSON measurement object, or a CSV row with
-    its ``conditions`` dict added); errors start with ``where(n)`` for row n,
-    counted from 1. A missing or None ``source`` reads as ""."""
+    """One Measurement per row of ``(object, measurand, value, source,
+    timestamp, raw_labels)``, with one raw label per schema condition;
+    errors start with ``where(n)`` for row n, counted from 1. The checks and
+    labels are those of ``make_measurement``; a None ``source`` reads as ""."""
+    names = schema.names
+    # _label once per distinct raw text in a load. Other raws go to _label
+    # every time: JSON 1, True and 1.0 are equal keys but label differently.
+    # None, the common Unknown, equals no other raw.
+    memo = {None: None, "": None}
+
+    def label(raw):
+        if type(raw) is not str:
+            return _label(raw)
+        memo[raw] = found = _label(raw)
+        return found
+
     measurements = []
     try:
-        for r in rows:
-            if not isinstance(r, dict):
-                raise TypeError("not a JSON object")
-            conditions = r.get("conditions")
-            if conditions is not None and not isinstance(conditions, dict):
-                raise TypeError("conditions is not a JSON object")
-            ts = r.get("timestamp")
-            measurements.append(make_measurement(
-                r["object"], r["measurand"], r["value"],
-                conditions=conditions,
-                source=r.get("source") or "",
-                timestamp=datetime.date.fromisoformat(ts) if ts else None,
-                schema=schema,
-            ))
+        for obj, measurand, value, source, ts, raw in rows:
+            ts = datetime.date.fromisoformat(ts) if ts else None
+            _check_str("object id", obj)
+            _check_str("measurand id", measurand)
+            value = float(value)
+            try:
+                labels = tuple(map(memo.__getitem__, raw))
+            except (KeyError, TypeError):  # a new label, or an unhashable raw
+                labels = tuple(map(label, raw))
+            measurements.append(Measurement(obj, measurand, value, names, labels,
+                                            source or "", ts))
     except _FIELD_ERRORS as exc:
         raise _field_error(where(len(measurements) + 1), exc) from exc
     return tuple(measurements)
 
 
+def _json_rows(rows, names):
+    """The ``_measurements`` row of each JSON measurement object."""
+    unknown = (None,) * len(names)
+    for r in rows:
+        if not isinstance(r, dict):
+            raise TypeError("not a JSON object")
+        conditions = r.get("conditions")
+        if conditions is None:
+            raw = unknown
+        elif isinstance(conditions, dict):
+            raw = list(map(conditions.get, names))
+        else:
+            raise TypeError("conditions is not a JSON object")
+        yield (r["object"], r["measurand"], r["value"], r.get("source"),
+               r.get("timestamp"), raw)
+
+
 def _dataset_from_obj(obj: dict, where: str) -> QraDataset:
     """``dataset_from_obj``; errors start with ``where``, the file's name."""
     schema, objects, measurands = _header_from_obj(obj, where)
-    measurements = _measurements(_array(obj, "measurements", where), schema,
-                                 lambda n: f"{where}measurement {n}: ")
+    rows = _json_rows(_array(obj, "measurements", where), schema.names)
+    measurements = _measurements(rows, schema, lambda n: f"{where}measurement {n}: ")
     return QraDataset(schema=schema, objects=objects,
                       measurands=measurands, measurements=measurements)
 
@@ -302,21 +376,13 @@ def _dataset_to_csv_rows(dataset: QraDataset):
     return rows
 
 
-def _cell_count(row: dict, fields: list) -> int:
-    """The cells of a ``csv.DictReader`` row, which fills missing cells with
-    None and puts extra ones in a list under the key None."""
-    if None in row:
-        return len(fields) + len(row[None])
-    return sum(value is not None for value in row.values())
-
-
 def _dataset_from_csv(path: Path) -> QraDataset:
     meta_path = _meta_path(path)
     meta = _read_json(meta_path) if meta_path.exists() else None
     # decoded whole, so that a bad byte is not blamed on the row before it
-    reader = csv.DictReader(StringIO(_read_text(path), newline=""))
+    reader = csv.reader(StringIO(_read_text(path), newline=""))
     try:
-        fields = reader.fieldnames
+        fields = next(reader, None)
         if fields is None:
             raise ParseError(f"{path}: empty file")
         repeated = next((f for f in fields if fields.count(f) > 1), None)
@@ -343,16 +409,22 @@ def _dataset_from_csv(path: Path) -> QraDataset:
                 ))
             except ValueError as exc:  # a bare "cond." column
                 raise SchemaError(f"{path}: {exc}") from exc
-        columns = [(name, _COND_PREFIX + name) for name in schema.names]
-        last = fields[-1]
+        column = {field: i for i, field in enumerate(fields)}
+        obj, measurand, value = column["object"], column["measurand"], column["value"]
+        source, timestamp = column.get("source"), column.get("timestamp")
+        conditions = [column[_COND_PREFIX + name] for name in schema.names]
+        width = len(fields)
 
         def rows():
             for r in reader:
-                if r[last] is None or None in r:
-                    raise ValueError(f"row has {_cell_count(r, fields)} cells, "
-                                     f"header has {len(fields)}")
-                r["conditions"] = {name: r[column] for name, column in columns}
-                yield r
+                if len(r) != width:
+                    if not r:  # a blank line
+                        continue
+                    raise ValueError(f"row has {len(r)} cells, header has {width}")
+                yield (r[obj], r[measurand], r[value],
+                       "" if source is None else r[source],
+                       None if timestamp is None else r[timestamp],
+                       [r[i] for i in conditions])
 
         # a row is reported at the line on which its record ends
         measurements = _measurements(rows(), schema, lambda _: f"{path}:{reader.line_num}: ")
@@ -412,12 +484,16 @@ def save_dataset(dataset: QraDataset, path, fmt: str = "auto") -> None:
     """Write a dataset to disk; CSV also writes the .meta.json sidecar."""
     path = Path(path)
     if _resolve_format(path, fmt) == "csv":
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(_dataset_to_csv_rows(dataset))
-        path, text = _meta_path(path), _header_text(dataset) + "\n"
+        rows = StringIO(newline="")
+        csv.writer(rows).writerows(_dataset_to_csv_rows(dataset))
+        texts = [(path, rows.getvalue()), (_meta_path(path), _header_text(dataset) + "\n")]
     else:
-        text = _dataset_to_json(dataset)
-    path.write_text(text, encoding="utf-8")
+        texts = [(path, _dataset_to_json(dataset))]
+    # encode every file before opening any: text that UTF-8 cannot hold
+    # then leaves existing files as they were
+    encoded = [(target, _utf8(text, target)) for target, text in texts]
+    for target, data in encoded:
+        target.write_bytes(data)
 
 
 def _read_bundled() -> QraDataset:

@@ -345,6 +345,40 @@ class TestBadInput:
         assert code == 1
         assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1
 
+    def test_lone_surrogate_in_json_is_a_parse_error(self, capsys, tmp_path):
+        obj = {"schema": {"conditions": []}, "objects": [{"id": "A"}],
+               "measurands": [{"id": "M"}],
+               "measurements": [{"object": "A", "measurand": "M", "value": v}
+                                for v in (1.0, 2.0)]}
+        text = json.dumps(obj).replace('"id": "A"', '"id": "A\\ud800"', 1)
+        path = tmp_path / "surrogate.json"
+        path.write_text(text, encoding="utf-8")
+        target = tmp_path / "report.txt"
+        target.write_bytes(b"kept")
+        code, out, err = run(capsys, "assess", "--input", str(path), "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: a JSON string holds the lone surrogate '\\ud800'\n"
+        assert target.read_bytes() == b"kept"
+        # a pair of escapes is one character, and an escaped backslash is none
+        for source in ("\\ud83d\\ude00", "\\\\ud800"):
+            path.write_text(json.dumps(obj).replace('"value": 1.0', f'"value": 1.0, '
+                                                    f'"source": "{source}"'),
+                            encoding="utf-8")
+            code, _, _ = run(capsys, "assess", "--input", str(path))
+            assert code == 0
+
+    @pytest.mark.parametrize("out", [False, True])
+    def test_unencodable_output(self, capsys, monkeypatch, tmp_path, out):
+        monkeypatch.setattr("qrakit.cli._report_document", lambda reports, args: "x\ud800\n")
+        target = tmp_path / "report.txt"
+        target.write_bytes(b"kept")
+        argv = ["assess", "--input", "builtin"] + (["--out", str(target)] if out else [])
+        code, stdout, err = run(capsys, *argv)
+        where = target if out else "stdout"
+        assert (code, stdout) == (1, "")
+        assert err == f"error: {where}: cannot write '\\ud800': surrogates not allowed\n"
+        assert target.read_bytes() == b"kept"
+
     def test_out_into_missing_directory(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.txt"
         code, out, err = run(capsys, "assess", "--input", "builtin",
@@ -360,6 +394,7 @@ class TestBadInput:
     (errors.NonFiniteResult, 3),
     (errors.ParseError, 1),
     (errors.SchemaError, 1),
+    (errors.EncodeError, 1),
     (errors.ValidationError, 1),
     (errors.UnknownObject, 1),
     (errors.UnknownMeasurand, 1),

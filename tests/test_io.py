@@ -1,12 +1,15 @@
+import csv
+import io
 import json
 import random
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrakit.errors import ParseError, SchemaError, ValidationError
+from qrakit.errors import EncodeError, ParseError, SchemaError, ValidationError
 from qrakit.io import (
     _dataset_to_json,
     bundled_paper_dataset,
@@ -18,6 +21,8 @@ from qrakit.io import (
 )
 from qrakit.model import (
     CONDITION_CATEGORIES,
+    MEASUREMENT_PROCEDURE,
+    OBJECT_CONDITION,
     ConditionSchema,
     Measurand,
     Measurement,
@@ -263,6 +268,133 @@ class TestConditionCells:
         assert len({id(label) for label in known}) <= len(set(known))
 
 
+class TestCsvReaderParity:
+    """Each CSV layout loads equal to its JSON twin."""
+
+    TWIN = {
+        "schema": {"conditions": [{"name": "lab", "category": "object_condition"},
+                                  {"name": "test_set", "category": "measurement_procedure"}]},
+        "objects": [{"id": "A", "display_name": "System A", "description": None},
+                    {"id": "B", "display_name": "B", "description": "second"}],
+        "measurands": [{"id": "M", "display_name": "M", "unit": "%", "scale_min": 0.0,
+                        "scale_max": 100.0, "value_kind": "percentage"}],
+        "measurements": [
+            {"object": "A", "measurand": "M", "value": 1.5, "source": "paper",
+             "timestamp": "2021-03-04", "conditions": {"lab": "x, y", "test_set": "wmt"}},
+            {"object": "A", "measurand": "M", "value": 2.0, "source": "",
+             "timestamp": None, "conditions": {"lab": None, "test_set": "wmt"}},
+            {"object": "B", "measurand": "M", "value": 3.25, "source": "repro",
+             "timestamp": "2022-12-31", "conditions": {"lab": "Équipe 3", "test_set": None}},
+        ],
+    }
+    COLUMNS = ["object", "measurand", "value", "source", "timestamp",
+               "cond.lab", "cond.test_set"]
+
+    def cells(self, row, column):
+        if column.startswith("cond."):
+            return row["conditions"][column[len("cond."):]] or ""
+        value = row[column]
+        return "" if value is None else repr(value) if column == "value" else value
+
+    def load_pair(self, tmp_path, twin, columns, newline="\n", blank=()):
+        """The JSON twin, and the CSV of its measurements in ``columns``,
+        with an empty line before each record number in ``blank``."""
+        json_path = tmp_path / "twin.json"
+        json_path.write_text(json.dumps(twin), encoding="utf-8")
+        header = {key: twin[key] for key in ("schema", "objects", "measurands")}
+        (tmp_path / "data.meta.json").write_text(json.dumps(header), encoding="utf-8")
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator=newline)
+        writer.writerow(columns)
+        for n, row in enumerate(twin["measurements"], start=1):
+            if n in blank:
+                buf.write(newline)
+            writer.writerow([self.cells(row, c) for c in columns])
+        text = buf.getvalue() + (newline if len(twin["measurements"]) + 1 in blank else "")
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_bytes(text.encode("utf-8"))
+        return load_dataset(json_path), load_dataset(csv_path)
+
+    def test_permuted_columns(self, tmp_path):
+        columns = ["cond.test_set", "value", "timestamp", "object", "cond.lab",
+                   "source", "measurand"]
+        twin, loaded = self.load_pair(tmp_path, self.TWIN, columns)
+        assert loaded == twin
+
+    def test_extra_unknown_column(self, tmp_path):
+        twin = json.loads(json.dumps(self.TWIN))
+        for n, row in enumerate(twin["measurements"]):
+            row["notes"] = f"note {n}"
+        columns = self.COLUMNS[:3] + ["notes"] + self.COLUMNS[3:]
+        json_twin, loaded = self.load_pair(tmp_path, twin, columns)
+        assert loaded == json_twin
+
+    def test_no_source_column(self, tmp_path):
+        twin = json.loads(json.dumps(self.TWIN))
+        for row in twin["measurements"]:
+            del row["source"]
+        columns = [c for c in self.COLUMNS if c != "source"]
+        json_twin, loaded = self.load_pair(tmp_path, twin, columns)
+        assert loaded == json_twin
+        assert {m.source for m in loaded.measurements} == {""}
+
+    def test_timestamp_column(self, tmp_path):
+        json_twin, loaded = self.load_pair(tmp_path, self.TWIN, self.COLUMNS)
+        assert loaded == json_twin
+        assert [m.timestamp and m.timestamp.isoformat() for m in loaded.measurements] == \
+            ["2021-03-04", None, "2022-12-31"]
+
+    def test_blank_lines_mid_file_and_at_end(self, tmp_path):
+        json_twin, loaded = self.load_pair(tmp_path, self.TWIN, self.COLUMNS, blank=(2, 3, 4))
+        assert loaded == json_twin
+        assert (tmp_path / "data.csv").read_text(encoding="utf-8").endswith("\n\n")
+
+    def test_crlf_line_endings(self, tmp_path):
+        json_twin, loaded = self.load_pair(tmp_path, self.TWIN, self.COLUMNS,
+                                           newline="\r\n", blank=(2, 4))
+        assert loaded == json_twin
+        assert b"\r\n\r\n" in (tmp_path / "data.csv").read_bytes()
+
+    def test_bad_row_after_a_blank_line_names_its_line(self, tmp_path):
+        path = tmp_path / "plain.csv"
+        path.write_text("object,measurand,value\nA,M,1.0\n\nA,M,high\n")
+        with pytest.raises(ParseError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == f"{path}:4: could not convert string to float: 'high'"
+
+
+class TestSaveErrors:
+    @pytest.mark.parametrize("name", ["data.json", "data.csv"])
+    @pytest.mark.parametrize("field", ["source", "display_name"])
+    def test_unencodable_text_leaves_existing_files(self, ds, tmp_path, name, field):
+        path = tmp_path / name
+        save_dataset(ds, path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        if field == "source":  # in the data file
+            bad = replace(ds, measurements=(replace(ds.measurements[0], source="x\ud800"),)
+                          + ds.measurements[1:])
+        else:  # in the CSV sidecar, which is written after the data file
+            bad = replace(ds, objects=(replace(ds.objects[0], display_name="x\ud800"),)
+                          + ds.objects[1:])
+        written = path if field == "source" or name == "data.json" else \
+            tmp_path / "data.meta.json"
+        with pytest.raises(EncodeError) as exc:
+            save_dataset(bad, path)
+        assert str(exc.value) == f"{written}: cannot write '\\ud800': surrogates not allowed"
+        assert exc.value.exit_code == 1
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_lone_surrogate_in_a_sidecar(self, ds, tmp_path):
+        path = tmp_path / "data.csv"
+        save_dataset(ds, path)
+        sidecar = tmp_path / "data.meta.json"
+        text = sidecar.read_text(encoding="utf-8")
+        sidecar.write_text(text.replace('"unit": "', '"unit": "\\udfff', 1), encoding="utf-8")
+        with pytest.raises(ParseError, match=r"data\.meta\.json: a JSON string holds the "
+                                              r"lone surrogate '\\udfff'$"):
+            load_dataset(path)
+
+
 class TestLoadErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
@@ -401,3 +533,89 @@ class TestValidateDataset:
                 for v in (1.0, 11.0)]
         issues = validate_dataset(self.make(rows))
         assert any("above scale maximum" in i.message for i in issues)
+
+    def test_condition_not_in_schema_is_warning(self):
+        schema = default_condition_schema()
+        rows = [make_measurement("sys", "score", v, {name: "x" for name in schema.names}
+                                 | {"lab": "L"}) for v in (1.0, 2.0)]
+        issues = validate_dataset(self.make(rows))
+        assert [(i.severity, i.location, i.message) for i in issues] == [
+            ("warning", f"measurement {n} (sys, score)",
+             "conditions ['lab'] are not in the schema; not saved") for n in (1, 2)]
+
+    def test_every_issue_in_order(self):
+        schema = ConditionSchema(conditions=(("lab", OBJECT_CONDITION),
+                                             ("test_set", MEASUREMENT_PROCEDURE)))
+        copied = tuple(list(schema.names))
+        assert copied == schema.names and copied is not schema.names
+
+        def built(obj, measurand, value):
+            return make_measurement(obj, measurand, value, {"lab": "x"}, schema=schema)
+
+        measurements = (
+            built("A", "M", 5.0),
+            Measurement("A", "M", 6.0, copied, ("x", None)),
+            built("ghost", "M", 5.0),
+            built("A", "nope", 5.0),
+            built("ghost", "nope", float("nan")),
+            built("A", "M", float("nan")),
+            built("A", "M", float("inf")),
+            built("A", "N", 0.5),
+            built("A", "M", 11.0),
+            make_measurement("A", "M", 5.0, {"lab": "x"}),
+            make_measurement("A", "M", 5.0, {"lab": "x", "test_set": "t", "room": "r",
+                                             "bench": "b"}),
+            make_measurement("B", "N", 2.0, {"room": "r"}),
+            make_measurement("A", "M", -float("inf"), {"test_set": "t", "room": "r"}),
+            Measurement("A", "M", 12.0, copied, ("x", None)),
+        )
+        dataset = QraDataset(
+            schema=schema,
+            objects=(ObjectRef("A", "A"), ObjectRef("B", "B"), ObjectRef("A", "again")),
+            measurands=(Measurand("M", "M", "", scale_max=10.0), Measurand("N", "N", "", 1.0),
+                        Measurand("N", "N", ""), Measurand("M", "M", "")),
+            measurements=measurements,
+        )
+        issues = [(i.severity, i.location, i.message) for i in validate_dataset(dataset)]
+        assert issues == [
+            ("error", "A", "duplicate object id"),
+            ("error", "M", "duplicate measurand id"),
+            ("error", "N", "duplicate measurand id"),
+            ("error", "measurement 3 (ghost, M)", "references undeclared object 'ghost'"),
+            ("error", "measurement 4 (A, nope)", "references undeclared measurand 'nope'"),
+            ("error", "measurement 5 (ghost, nope)", "references undeclared object 'ghost'"),
+            ("error", "measurement 5 (ghost, nope)", "references undeclared measurand 'nope'"),
+            ("error", "measurement 6 (A, M)", "value nan is not a finite number"),
+            ("error", "measurement 7 (A, M)", "value inf is not a finite number"),
+            ("error", "measurement 8 (A, N)", "value 0.5 below scale minimum 1.0"),
+            ("error", "measurement 9 (A, M)", "value 11.0 above scale maximum 10.0"),
+            ("warning", "measurement 10 (A, M)",
+             "no entry for conditions ['test_set']; treated as Unknown"),
+            ("warning", "measurement 11 (A, M)",
+             "conditions ['bench', 'room'] are not in the schema; not saved"),
+            ("warning", "measurement 12 (B, N)",
+             "no entry for conditions ['lab', 'test_set']; treated as Unknown"),
+            ("warning", "measurement 12 (B, N)",
+             "conditions ['room'] are not in the schema; not saved"),
+            ("error", "measurement 13 (A, M)", "value -inf is not a finite number"),
+            ("warning", "measurement 13 (A, M)",
+             "no entry for conditions ['lab']; treated as Unknown"),
+            ("warning", "measurement 13 (A, M)",
+             "conditions ['room'] are not in the schema; not saved"),
+            ("error", "measurement 14 (A, M)", "value 12.0 above scale maximum 10.0"),
+            ("warning", "(ghost, M)",
+             "only one measurement; pair is not assessable (n >= 2 required)"),
+            ("warning", "(A, nope)",
+             "only one measurement; pair is not assessable (n >= 2 required)"),
+            ("warning", "(ghost, nope)",
+             "only one measurement; pair is not assessable (n >= 2 required)"),
+            ("warning", "(A, N)",
+             "only one measurement; pair is not assessable (n >= 2 required)"),
+            ("warning", "(B, N)",
+             "only one measurement; pair is not assessable (n >= 2 required)"),
+        ]
+        # names equal to the schema's, in another tuple, validate as built ones
+        rebuilt = replace(dataset, measurements=tuple(
+            replace(m, names=schema.names) if m.names is copied else m
+            for m in measurements))
+        assert validate_dataset(rebuilt) == validate_dataset(dataset)
