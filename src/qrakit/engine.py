@@ -2,18 +2,12 @@
 difference analysis, test classification and precision computation."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from operator import attrgetter
 
 from .errors import EmptyGroup, InvalidSampleSize, MixedGroup
-from .model import (
-    ConditionSchema,
-    Measurand,
-    Measurement,
-    ObjectRef,
-    QraDataset,
-    group,
-)
-from .precision import PrecisionResult, cv_star_pipeline
+from .model import ConditionSchema, QraDataset, group
+from .precision import cv_star_pipeline
 
 ALL_SAME = "AllSame"
 DIFFERS = "Differs"
@@ -24,29 +18,34 @@ REPRODUCIBILITY = "Reproducibility"
 INDETERMINATE = "Indeterminate"
 
 
-@dataclass(frozen=True)
-class ConditionDiffMatrix:
-    """Per-condition same/different verdicts for a group of measurements."""
+class ConditionDiffMatrix(namedtuple("ConditionDiffMatrix", "conditions rows verdicts")):
+    """Per-condition same/different verdicts for a group of measurements.
 
-    conditions: tuple[str, ...]
-    rows: tuple[tuple, ...]  # one label tuple per measurement; None is Unknown
-    verdicts: dict
+    ``conditions`` is the schema's names, ``rows`` one label tuple per
+    measurement (None is Unknown) and ``verdicts`` a dict from name to
+    verdict. A named tuple, built once per group.
+    """
+
+    __slots__ = ()
 
     def verdict(self, name: str) -> str:
         return self.verdicts[name]
 
 
-@dataclass(frozen=True)
-class QraReport:
-    """Result of one QRA test for a single (object, measurand) pair."""
+class QraReport(namedtuple("QraReport", "object measurand measurements diff classification "
+                           "precision excluded", defaults=((),))):
+    """Result of one QRA test for a single (object, measurand) pair.
 
-    object: ObjectRef
-    measurand: Measurand
-    measurements: tuple[Measurement, ...]
-    diff: ConditionDiffMatrix
-    classification: str
-    precision: PrecisionResult
-    excluded: tuple[Measurement, ...] = field(default_factory=tuple)
+    ``object`` is an ObjectRef, ``measurand`` a Measurand, ``measurements``
+    and ``excluded`` tuples of Measurement, ``diff`` a ConditionDiffMatrix,
+    ``classification`` one of the three test names and ``precision`` a
+    PrecisionResult. A named tuple, built once per group.
+    """
+
+    __slots__ = ()
+
+
+_OBJECT_AND_MEASURAND = attrgetter("object", "measurand")
 
 
 def condition_diff(measurements, schema: ConditionSchema) -> ConditionDiffMatrix:
@@ -57,35 +56,31 @@ def condition_diff(measurements, schema: ConditionSchema) -> ConditionDiffMatrix
     """
     if not measurements:
         raise EmptyGroup("cannot diff an empty group")
-    first = measurements[0]
-    if any(m.object != first.object or m.measurand != first.measurand
-           for m in measurements):
-        pairs = sorted({(m.object, m.measurand) for m in measurements})
-        raise MixedGroup(f"group mixes several (object, measurand) pairs: {pairs}")
+    pairs = set(map(_OBJECT_AND_MEASURAND, measurements))
+    if len(pairs) > 1:
+        raise MixedGroup(f"group mixes several (object, measurand) pairs: {sorted(pairs)}")
 
     names = schema.names
-    rows = tuple(m.labels_in(names) for m in measurements)
+    rows = tuple(m.labels if m.names is names else m.labels_in(names) for m in measurements)
     verdicts = {}
     for name, column in zip(names, zip(*rows)):
-        labels = set(column)
-        if None in labels:
+        if None in column:
             verdicts[name] = HAS_UNKNOWN
-        elif len(labels) > 1:
+        elif column.count(column[0]) < len(column):
             verdicts[name] = DIFFERS
         else:
             verdicts[name] = ALL_SAME
-    return ConditionDiffMatrix(conditions=names, rows=rows, verdicts=verdicts)
+    return ConditionDiffMatrix(names, rows, verdicts)
 
 
 def classify(diff: ConditionDiffMatrix) -> str:
     """Repeatability when all conditions match; Reproducibility when any
     Known values differ; Indeterminate when only unknowns prevent a call."""
-    verdicts = diff.verdicts.values()
-    if any(v == DIFFERS for v in verdicts):
+    verdicts = set(diff.verdicts.values())
+    if DIFFERS in verdicts:
         return REPRODUCIBILITY
-    if all(v == ALL_SAME for v in verdicts):
-        return REPEATABILITY
-    return INDETERMINATE
+    verdicts.discard(ALL_SAME)
+    return INDETERMINATE if verdicts else REPEATABILITY
 
 
 def _assess(dataset, object_id, measurand_id, measurements, excluded=()):

@@ -65,13 +65,12 @@ def validate_dataset(dataset: QraDataset):
     index = dataset.index
     names = dataset.schema.names
     schema_names = set(names)
-    # per measurand, the finite values within its scale; a row whose value is
-    # in them, whose ids are declared and whose names are the schema's has no
-    # issue, and only the other rows are checked one issue at a time
-    largest = sys.float_info.max
+    # per measurand, the finite values within its scale (its bounds are
+    # finite); a row whose value is in them, whose ids are declared and whose
+    # names are the schema's has no issue, and only the other rows are
+    # checked one issue at a time
     clean_values = {
-        m.id: (max(m.scale_min, -largest),
-               largest if m.scale_max is None else min(m.scale_max, largest))
+        m.id: (m.scale_min, sys.float_info.max if m.scale_max is None else m.scale_max)
         for m in index.measurands.values()
     }
     for row, m in enumerate(dataset.measurements, start=1):
@@ -336,8 +335,10 @@ def _json_rows(rows, names):
             raw = list(map(conditions.get, names))
         else:
             raise TypeError("conditions is not a JSON object")
-        yield (r["object"], r["measurand"], r["value"], r.get("source"),
-               r.get("timestamp"), raw)
+        source = r.get("source")
+        if source is not None and not isinstance(source, str):
+            raise TypeError(f"source must be a string or null, not {type(source).__name__}")
+        yield (r["object"], r["measurand"], r["value"], source, r.get("timestamp"), raw)
 
 
 def _dataset_from_obj(obj: dict, where: str) -> QraDataset:

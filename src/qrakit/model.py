@@ -5,8 +5,9 @@ shared freely between concurrent readers.
 """
 from __future__ import annotations
 
-import datetime
+import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -40,6 +41,12 @@ class Measurand:
 
     def __post_init__(self):
         _check_str("measurand id", self.id)
+        if not math.isfinite(self.scale_min):
+            raise ValueError(f"measurand {self.id!r}: scale_min must be finite, "
+                             f"not {self.scale_min}")
+        if self.scale_max is not None and not math.isfinite(self.scale_max):
+            raise ValueError(f"measurand {self.id!r}: scale_max must be finite, "
+                             f"not {self.scale_max}")
         if self.scale_max is not None and not self.scale_max > self.scale_min:
             raise ValueError(
                 f"measurand {self.id!r}: scale_max must exceed scale_min"
@@ -111,21 +118,19 @@ def known(label: str) -> ConditionValue:
     return ConditionValue(label)
 
 
-@dataclass(frozen=True)
-class Measurement:
+class Measurement(namedtuple("Measurement", "object measurand value names labels "
+                             "source timestamp", defaults=("", None))):
     """One measured quantity value for an (object, measurand) pair.
 
-    ``labels[i]`` is the label of condition ``names[i]``, or None for
-    Unknown. Measurements built against a schema share its ``names`` tuple.
+    ``object`` and ``measurand`` are ids, ``value`` a float, ``source`` a
+    string and ``timestamp`` a ``datetime.date`` or None. ``labels[i]`` is
+    the label of condition ``names[i]``, or None for Unknown. Measurements
+    built against a schema share its ``names`` tuple.
+
+    A named tuple, built once per row: copy one with ``m._replace(...)``.
     """
 
-    object: str
-    measurand: str
-    value: float
-    names: tuple[str, ...]
-    labels: tuple[str | None, ...]
-    source: str = ""
-    timestamp: datetime.date | None = None
+    __slots__ = ()
 
     def label(self, name: str) -> str | None:
         """The label of the first entry for ``name``; None when it has none."""

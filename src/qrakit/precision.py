@@ -8,7 +8,7 @@ of variation with the small-sample correction CV* = (1 + 1/(4n)) * CV.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     DegenerateMean,
@@ -57,23 +57,17 @@ _T_975 = {
 }
 
 
-@dataclass(frozen=True)
-class PrecisionResult:
+class PrecisionResult(namedtuple("PrecisionResult", "n mean s s_star se_s_star ci95 cv "
+                                 "cv_star degenerate_spread", defaults=(False,))):
     """Precision statistics for one group of shifted scores.
 
-    ``cv`` and ``cv_star`` are percentages. ``degenerate_spread`` flags a
-    zero-spread sample, where the CI collapses to a point.
+    ``n`` is an int, ``ci95`` a (lower, upper) pair of floats and the rest
+    floats. ``cv`` and ``cv_star`` are percentages. ``degenerate_spread``
+    flags a zero-spread sample, where the CI collapses to a point. A named
+    tuple, built once per group.
     """
 
-    n: int
-    mean: float
-    s: float
-    s_star: float
-    se_s_star: float
-    ci95: tuple[float, float]
-    cv: float
-    cv_star: float
-    degenerate_spread: bool = False
+    __slots__ = ()
 
 
 def shift_values(values, scale_min):

@@ -210,6 +210,18 @@ class TestBadInput:
         assert (code, out) == (1, "")
         assert err == f"error: {path}{line}: {message}\n"
 
+    @pytest.mark.parametrize("name, message", [
+        ("scale_min_neg_inf.json", "measurand 'M': scale_min must be finite, not -inf"),
+        ("scale_max_nan.json", "measurand 'M': scale_max must be finite, not nan"),
+        ("source_not_string.json", "measurement 2: source must be a string or null, not int"),
+    ])
+    @pytest.mark.parametrize("command", ["assess", "validate"])
+    def test_field_value_errors(self, capsys, command, name, message):
+        path = BAD / name
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: {message}\n"
+
     def test_csv_header_errors_name_file_and_column(self, capsys):
         for name, column in (("sidecar_missing_column.csv", "'cond.performed_by'"),
                              ("repeated_column.csv", "'value'")):

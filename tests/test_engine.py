@@ -1,6 +1,9 @@
+import datetime
+import pickle
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qrakit.engine import (
     ALL_SAME,
@@ -24,6 +27,7 @@ from qrakit.errors import (
 )
 from qrakit.io import bundled_paper_dataset
 from qrakit.model import (
+    ConditionSchema,
     Measurand,
     Measurement,
     ObjectRef,
@@ -331,3 +335,166 @@ class TestInvariants:
         extended = tiny_dataset([row_a, row_b, row_b], values=[1.0, 2.0, 2.5])
         assert run_qra_test(extended, "sys", "score").classification == \
             REPRODUCIBILITY
+
+
+def set_based_diff(measurements, names):
+    """Reference rows and verdicts: a dict per row, in which the first entry
+    of a repeated name counts, and a set of labels per column."""
+    rows = tuple(tuple(dict(reversed(tuple(zip(m.names, m.labels)))).get(name)
+                       for name in names) for m in measurements)
+    verdicts = {}
+    for i, name in enumerate(names):
+        labels = {row[i] for row in rows}
+        verdicts[name] = (HAS_UNKNOWN if None in labels
+                          else DIFFERS if len(labels) > 1 else ALL_SAME)
+    return rows, verdicts
+
+
+def set_based_classify(verdicts):
+    found = set(verdicts.values())
+    if DIFFERS in found:
+        return REPRODUCIBILITY
+    return REPEATABILITY if found <= {ALL_SAME} else INDETERMINATE
+
+
+NAMES = ("p", "q", "r", "s")
+
+
+@st.composite
+def label_groups(draw):
+    """A schema and a group whose rows carry the schema's names tuple, an
+    equal copy of it, or names of their own (any order, repeats, a name the
+    schema lacks), with None, "a", "b" or "c" in each cell."""
+    schema = ConditionSchema(tuple(
+        (name, "object_condition")
+        for name in draw(st.lists(st.sampled_from(NAMES), unique=True, max_size=4))))
+    members = []
+    for i in range(draw(st.integers(1, 6))):
+        how = draw(st.sampled_from(("schema", "copy", "own")))
+        if how == "own":
+            names = tuple(draw(st.lists(st.sampled_from(NAMES + ("x",)), max_size=6)))
+        else:
+            names = schema.names if how == "schema" else tuple(list(schema.names))
+        labels = draw(st.lists(st.sampled_from((None, "a", "b", "c")),
+                               min_size=len(names), max_size=len(names)))
+        members.append(Measurement("A", "M", float(i), names, tuple(labels)))
+    return schema, members
+
+
+class TestConditionDiffReference:
+    @given(label_groups())
+    def test_matches_a_set_based_reference(self, case):
+        schema, members = case
+        diff = condition_diff(members, schema)
+        rows, verdicts = set_based_diff(members, schema.names)
+        assert diff.conditions == schema.names
+        assert (diff.rows, diff.verdicts) == (rows, verdicts)
+        assert classify(diff) == set_based_classify(verdicts)
+
+    def test_error_texts(self):
+        with pytest.raises(EmptyGroup) as exc:
+            condition_diff([], SCHEMA)
+        assert str(exc.value) == "cannot diff an empty group"
+        mixed = [Measurement("B", "M", 1.0, (), ()), Measurement("A", "M", 2.0, (), ()),
+                 Measurement("A", "N", 3.0, (), ()), Measurement("B", "M", 4.0, (), ())]
+        with pytest.raises(MixedGroup) as exc:
+            condition_diff(mixed, SCHEMA)
+        assert str(exc.value) == ("group mixes several (object, measurand) pairs: "
+                                  "[('A', 'M'), ('A', 'N'), ('B', 'M')]")
+
+
+def sample_report():
+    """A two-row report, built afresh on each call."""
+    schema = ConditionSchema((("lab", "object_condition"), ("team", "measurement_procedure")))
+    dataset = QraDataset(
+        schema=schema, objects=(ObjectRef("A", "A"),), measurands=(Measurand("M", "M", ""),),
+        measurements=(
+            make_measurement("A", "M", 1.0, {"lab": "x", "team": "t"}, schema=schema),
+            make_measurement("A", "M", 2.0, {"lab": "y"}, source="s",
+                             timestamp=datetime.date(2022, 5, 1), schema=schema)))
+    return run_qra_test(dataset, "A", "M")
+
+
+RECORDS = {
+    "Measurement": lambda report: report.measurements[1],
+    "PrecisionResult": lambda report: report.precision,
+    "ConditionDiffMatrix": lambda report: report.diff,
+    "QraReport": lambda report: report,
+}
+
+# field names in order, and the defaults, of the frozen dataclasses these
+# records replaced
+FIELDS = {
+    "Measurement": (("object", "measurand", "value", "names", "labels", "source",
+                     "timestamp"), {"source": "", "timestamp": None}),
+    "PrecisionResult": (("n", "mean", "s", "s_star", "se_s_star", "ci95", "cv", "cv_star",
+                         "degenerate_spread"), {"degenerate_spread": False}),
+    "ConditionDiffMatrix": (("conditions", "rows", "verdicts"), {}),
+    "QraReport": (("object", "measurand", "measurements", "diff", "classification",
+                   "precision", "excluded"), {"excluded": ()}),
+}
+
+# repr of the sample records as the frozen dataclasses wrote it
+MEASUREMENT_REPR = (
+    "Measurement(object='A', measurand='M', value=2.0, names=('lab', 'team'), "
+    "labels=('y', None), source='s', timestamp=datetime.date(2022, 5, 1))")
+PRECISION_REPR = (
+    "PrecisionResult(n=2, mean=1.5, s=0.7071067811865476, s_star=0.8862269254527584, "
+    "se_s_star=0.3989422804014326, ci95=(-4.182815367244257, 5.955269218149774), "
+    "cv=59.08179503018389, cv_star=66.46701940895687, degenerate_spread=False)")
+DIFF_REPR = (
+    "ConditionDiffMatrix(conditions=('lab', 'team'), rows=(('x', 't'), ('y', None)), "
+    "verdicts={'lab': 'Differs', 'team': 'HasUnknown'})")
+REPRS = {
+    "Measurement": MEASUREMENT_REPR,
+    "PrecisionResult": PRECISION_REPR,
+    "ConditionDiffMatrix": DIFF_REPR,
+    "QraReport": (
+        "QraReport(object=ObjectRef(id='A', display_name='A', description=None), "
+        "measurand=Measurand(id='M', display_name='M', unit='', scale_min=0.0, "
+        "scale_max=None, value_kind='continuous'), measurements=(Measurement(object='A', "
+        "measurand='M', value=1.0, names=('lab', 'team'), labels=('x', 't'), source='', "
+        f"timestamp=None), {MEASUREMENT_REPR}), diff={DIFF_REPR}, "
+        f"classification='Reproducibility', precision={PRECISION_REPR}, excluded=())"),
+}
+
+
+@pytest.mark.parametrize("kind", RECORDS)
+class TestRecords:
+    def test_fields_and_defaults(self, kind):
+        record = RECORDS[kind](sample_report())
+        assert type(record).__name__ == kind
+        assert (record._fields, record._field_defaults) == FIELDS[kind]
+
+    def test_immutable(self, kind):
+        record = RECORDS[kind](sample_report())
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], "x")
+        with pytest.raises(AttributeError):
+            record.other = "x"
+
+    def test_replace(self, kind):
+        record = RECORDS[kind](sample_report())
+        first, *rest = record._fields
+        copy = record._replace(**{first: "x"})
+        assert type(copy) is type(record)
+        assert getattr(copy, first) == "x" and getattr(record, first) != "x"
+        assert [getattr(copy, name) for name in rest] == [getattr(record, name) for name in rest]
+
+    def test_equality_and_hash(self, kind):
+        a, b = RECORDS[kind](sample_report()), RECORDS[kind](sample_report())
+        assert a == b and a is not b
+        assert a == tuple(a)
+        if kind in ("ConditionDiffMatrix", "QraReport"):
+            with pytest.raises(TypeError):  # verdicts is a dict, as before
+                hash(a)
+        else:
+            assert hash(a) == hash(b)
+
+    def test_repr(self, kind):
+        assert repr(RECORDS[kind](sample_report())) == REPRS[kind]
+
+    def test_pickle_round_trip(self, kind):
+        record = RECORDS[kind](sample_report())
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record) and copy == record

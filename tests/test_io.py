@@ -371,7 +371,7 @@ class TestSaveErrors:
         save_dataset(ds, path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         if field == "source":  # in the data file
-            bad = replace(ds, measurements=(replace(ds.measurements[0], source="x\ud800"),)
+            bad = replace(ds, measurements=(ds.measurements[0]._replace(source="x\ud800"),)
                           + ds.measurements[1:])
         else:  # in the CSV sidecar, which is written after the data file
             bad = replace(ds, objects=(replace(ds.objects[0], display_name="x\ud800"),)
@@ -437,6 +437,17 @@ class TestLoadErrors:
                "measurements": [{"object": "A", "measurand": "M", "value": 2.0}]}
         (obj["schema"] if key == "conditions" else obj)[key] = {"id": "A"}
         with pytest.raises(ParseError, match=f"^'{key}' is not a JSON array$"):
+            dataset_from_obj(obj)
+
+    @pytest.mark.parametrize("source", [5, 0, False, 1.5, [1], {}])
+    def test_json_source_must_be_a_string_or_null(self, source):
+        obj = {"schema": {"conditions": []}, "objects": [{"id": "A"}],
+               "measurands": [{"id": "M"}],
+               "measurements": [{"object": "A", "measurand": "M", "value": 2.0},
+                                {"object": "A", "measurand": "M", "value": 1.0,
+                                 "source": source}]}
+        with pytest.raises(ParseError, match="^measurement 2: source must be a string or "
+                                             f"null, not {type(source).__name__}$"):
             dataset_from_obj(obj)
 
     # more cases, as files, in tests/data/bad/
@@ -616,6 +627,6 @@ class TestValidateDataset:
         ]
         # names equal to the schema's, in another tuple, validate as built ones
         rebuilt = replace(dataset, measurements=tuple(
-            replace(m, names=schema.names) if m.names is copied else m
+            m._replace(names=schema.names) if m.names is copied else m
             for m in measurements))
         assert validate_dataset(rebuilt) == validate_dataset(dataset)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import pytest
@@ -151,6 +152,16 @@ class TestMeasurand:
 
     def test_scale_min_defaults_to_zero(self):
         assert Measurand("m", "m", "score").scale_min == 0.0
+
+    @pytest.mark.parametrize("bounds, message", [
+        ({"scale_min": -math.inf}, "scale_min must be finite, not -inf"),
+        ({"scale_min": math.nan, "scale_max": 1.0}, "scale_min must be finite, not nan"),
+        ({"scale_max": math.inf}, "scale_max must be finite, not inf"),
+        ({"scale_max": math.nan}, "scale_max must be finite, not nan"),
+    ])
+    def test_bounds_must_be_finite(self, bounds, message):
+        with pytest.raises(ValueError, match=f"^measurand 'm': {message}$"):
+            Measurand("m", "m", "score", **bounds)
 
 
 class TestGroup:
