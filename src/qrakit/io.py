@@ -15,9 +15,7 @@ import json
 import math
 import re
 import sys
-from collections import Counter
-from dataclasses import dataclass, replace
-from importlib import resources
+from collections import Counter, namedtuple
 from io import StringIO
 from pathlib import Path
 
@@ -25,11 +23,10 @@ from .errors import EncodeError, ParseError, QraError, SchemaError, ValidationEr
 from .model import (
     ConditionSchema,
     Measurand,
-    Measurement,
     ObjectRef,
     QraDataset,
-    _check_str,
     _label,
+    _measurement,
     default_condition_schema,
 )
 
@@ -37,11 +34,8 @@ _RESERVED_COLUMNS = ("object", "measurand", "value", "source")
 _COND_PREFIX = "cond."
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    severity: str  # "error" or "warning"
-    location: str
-    message: str
+# severity is "error" or "warning"; copy one with ``issue._replace(...)``
+ValidationIssue = namedtuple("ValidationIssue", "severity location message")
 
 
 def validate_dataset(dataset: QraDataset):
@@ -65,32 +59,29 @@ def validate_dataset(dataset: QraDataset):
     index = dataset.index
     names = dataset.schema.names
     schema_names = set(names)
-    # per measurand, the finite values within its scale (its bounds are
-    # finite); a row whose value is in them, whose ids are declared and whose
-    # names are the schema's has no issue, and only the other rows are
-    # checked one issue at a time
-    clean_values = {
+    # per measurand id, its finite scale (lo, hi): a row within it, of a declared
+    # object and with the schema's names has no issue; only other rows are checked
+    bounds = {
         m.id: (m.scale_min, sys.float_info.max if m.scale_max is None else m.scale_max)
         for m in index.measurands.values()
     }
     for row, m in enumerate(dataset.measurements, start=1):
-        bounds = clean_values.get(m.measurand)
-        if (bounds is not None and bounds[0] <= m.value <= bounds[1]
+        lo, hi = bounds.get(m.measurand, (None, None))
+        if (lo is not None and lo <= m.value <= hi
                 and m.names is names and m.object in index.objects):
             continue
         loc = f"measurement {row} ({m.object}, {m.measurand})"
         if m.object not in index.objects:
             err(loc, f"references undeclared object {m.object!r}")
-        measurand = index.measurands.get(m.measurand)
-        if measurand is None:
+        if lo is None:
             err(loc, f"references undeclared measurand {m.measurand!r}")
             continue
         if not math.isfinite(m.value):
             err(loc, f"value {m.value} is not a finite number")
-        elif m.value < measurand.scale_min:
-            err(loc, f"value {m.value} below scale minimum {measurand.scale_min}")
-        elif measurand.scale_max is not None and m.value > measurand.scale_max:
-            err(loc, f"value {m.value} above scale maximum {measurand.scale_max}")
+        elif m.value < lo:
+            err(loc, f"value {m.value} below scale minimum {lo}")
+        elif m.value > hi:
+            err(loc, f"value {m.value} above scale maximum {hi}")
         missing = schema_names.difference(m.names)
         if missing:
             warn(loc, f"no entry for conditions {sorted(missing)}; treated as Unknown")
@@ -185,7 +176,7 @@ def _dataset_to_json(dataset: QraDataset) -> str:
     return f'{_header_text(dataset)[:-2]},\n  "measurements": {measurements}\n}}\n'
 
 
-_FIELD_ERRORS = (KeyError, TypeError, ValueError)
+_FIELD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)  # float(10**400)
 
 
 def _field_error(where: str, exc: Exception) -> QraError:
@@ -277,9 +268,8 @@ def _header_from_obj(obj: dict, where: str):
         )
         measurands = tuple(
             Measurand(id=m["id"], display_name=m.get("display_name", m["id"]),
-                      unit=m.get("unit", ""), scale_min=float(m.get("scale_min", 0.0)),
-                      scale_max=None if m.get("scale_max") is None else float(m["scale_max"]),
-                      value_kind=m.get("value_kind", "continuous"))
+                      unit=m.get("unit", ""), scale_min=m.get("scale_min", 0.0),
+                      scale_max=m.get("scale_max"), value_kind=m.get("value_kind", "continuous"))
             for m in _entries(obj, "measurands", where)
         )
     except _FIELD_ERRORS as exc:
@@ -288,10 +278,9 @@ def _header_from_obj(obj: dict, where: str):
 
 
 def _measurements(rows, schema: ConditionSchema, where) -> tuple:
-    """One Measurement per row of ``(object, measurand, value, source,
-    timestamp, raw_labels)``, with one raw label per schema condition;
-    errors start with ``where(n)`` for row n, counted from 1. The checks and
-    labels are those of ``make_measurement``; a None ``source`` reads as ""."""
+    """One ``_measurement`` per row of ``(object, measurand, value, source,
+    timestamp, raw_labels)``, one raw label per schema condition and the timestamp
+    ISO text, or None or "" for none; errors start with ``where(n)`` for row n, from 1."""
     names = schema.names
     # _label once per distinct raw text in a load. Other raws go to _label
     # every time: JSON 1, True and 1.0 are equal keys but label differently.
@@ -307,16 +296,15 @@ def _measurements(rows, schema: ConditionSchema, where) -> tuple:
     measurements = []
     try:
         for obj, measurand, value, source, ts, raw in rows:
+            if ts is not None and not isinstance(ts, str):
+                raise TypeError(f"timestamp must be a string or null, not {type(ts).__name__}")
             ts = datetime.date.fromisoformat(ts) if ts else None
-            _check_str("object id", obj)
-            _check_str("measurand id", measurand)
-            value = float(value)
             try:
                 labels = tuple(map(memo.__getitem__, raw))
             except (KeyError, TypeError):  # a new label, or an unhashable raw
                 labels = tuple(map(label, raw))
-            measurements.append(Measurement(obj, measurand, value, names, labels,
-                                            source or "", ts))
+            measurements.append(_measurement(obj, measurand, value, names, labels,
+                                             source, ts))
     except _FIELD_ERRORS as exc:
         raise _field_error(where(len(measurements) + 1), exc) from exc
     return tuple(measurements)
@@ -335,10 +323,8 @@ def _json_rows(rows, names):
             raw = list(map(conditions.get, names))
         else:
             raise TypeError("conditions is not a JSON object")
-        source = r.get("source")
-        if source is not None and not isinstance(source, str):
-            raise TypeError(f"source must be a string or null, not {type(source).__name__}")
-        yield (r["object"], r["measurand"], r["value"], source, r.get("timestamp"), raw)
+        yield (r["object"], r["measurand"], r["value"], r.get("source"), r.get("timestamp"),
+               raw)
 
 
 def _dataset_from_obj(obj: dict, where: str) -> QraDataset:
@@ -422,7 +408,7 @@ def _dataset_from_csv(path: Path) -> QraDataset:
                     if not r:  # a blank line
                         continue
                     raise ValueError(f"row has {len(r)} cells, header has {width}")
-                yield (r[obj], r[measurand], r[value],
+                yield (r[obj], r[measurand], float(r[value]),
                        "" if source is None else r[source],
                        None if timestamp is None else r[timestamp],
                        [r[i] for i in conditions])
@@ -461,7 +447,7 @@ def _resolve_format(path: Path, fmt: str) -> str:
 
 def _validated(dataset: QraDataset, where: str = "") -> QraDataset:
     """The dataset, or a ValidationError whose locations start with ``where``."""
-    errors = [replace(i, location=where + i.location)
+    errors = [i._replace(location=where + i.location)
               for i in validate_dataset(dataset) if i.severity == "error"]
     if errors:
         raise ValidationError(errors)
@@ -499,7 +485,7 @@ def save_dataset(dataset: QraDataset, path, fmt: str = "auto") -> None:
 
 def _read_bundled() -> QraDataset:
     """The packaged benchmark dataset, parsed but not validated."""
-    path = resources.files("qrakit") / "data" / "qra_benchmark.json"
+    path = Path(__file__).with_name("data") / "qra_benchmark.json"
     return _dataset_from_obj(_read_json(path), f"{path}: ")
 
 

@@ -9,8 +9,8 @@ import math
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
+from datetime import date
 from functools import cached_property
-from typing import NamedTuple
 
 from .errors import EmptyGroup, UnknownMeasurand, UnknownObject
 
@@ -21,11 +21,18 @@ MEASUREMENT_PROCEDURE = "measurement_procedure"
 CONDITION_CATEGORIES = (OBJECT_CONDITION, MEASUREMENT_METHOD, MEASUREMENT_PROCEDURE)
 
 
-def _check_str(what: str, value) -> None:
+def _check_str(what: str, value, nonempty: bool = True) -> None:
     if not isinstance(value, str):
         raise TypeError(f"{what} must be a string, not {type(value).__name__}")
-    if not value:
+    if nonempty and not value:
         raise ValueError(f"{what} must be non-empty")
+
+
+def _number(what: str, value) -> float:
+    """``float(value)``; a bool or a str is refused by name, not converted."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"{what} must be a number, not {type(value).__name__}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -41,16 +48,19 @@ class Measurand:
 
     def __post_init__(self):
         _check_str("measurand id", self.id)
+        where = f"measurand {self.id!r}: "
+        _check_str(where + "display_name", self.display_name, nonempty=False)
+        _check_str(where + "unit", self.unit, nonempty=False)
+        # an integer bound becomes a float, so that it saves as one
+        object.__setattr__(self, "scale_min", _number(where + "scale_min", self.scale_min))
+        if self.scale_max is not None:
+            object.__setattr__(self, "scale_max", _number(where + "scale_max", self.scale_max))
         if not math.isfinite(self.scale_min):
-            raise ValueError(f"measurand {self.id!r}: scale_min must be finite, "
-                             f"not {self.scale_min}")
+            raise ValueError(f"{where}scale_min must be finite, not {self.scale_min}")
         if self.scale_max is not None and not math.isfinite(self.scale_max):
-            raise ValueError(f"measurand {self.id!r}: scale_max must be finite, "
-                             f"not {self.scale_max}")
+            raise ValueError(f"{where}scale_max must be finite, not {self.scale_max}")
         if self.scale_max is not None and not self.scale_max > self.scale_min:
-            raise ValueError(
-                f"measurand {self.id!r}: scale_max must exceed scale_min"
-            )
+            raise ValueError(f"{where}scale_max must exceed scale_min")
         if self.value_kind not in ("continuous", "percentage"):
             raise ValueError(f"unknown value_kind {self.value_kind!r}")
 
@@ -65,6 +75,10 @@ class ObjectRef:
 
     def __post_init__(self):
         _check_str("object id", self.id)
+        _check_str(f"object {self.id!r}: display_name", self.display_name, nonempty=False)
+        if self.description is not None and not isinstance(self.description, str):
+            raise TypeError(f"object {self.id!r}: description must be a string or null, "
+                            f"not {type(self.description).__name__}")
 
 
 @dataclass(frozen=True)
@@ -159,16 +173,32 @@ def _label(raw) -> str | None:
     return sys.intern(str(raw))
 
 
+def _measurement(object_id, measurand_id, value, names, labels, source, timestamp):
+    """The one definition of a valid row: ids are non-empty strings, ``value``
+    a number (not a bool or a str), ``source`` a string or None (read as "")
+    and ``timestamp`` a ``datetime.date`` or None. ``labels`` holds one label
+    per name of ``names``, as ``_label`` makes them."""
+    _check_str("object id", object_id)
+    _check_str("measurand id", measurand_id)
+    value = _number("value", value)
+    if source is None:
+        source = ""
+    elif not isinstance(source, str):
+        raise TypeError(f"source must be a string or null, not {type(source).__name__}")
+    if timestamp is not None and not isinstance(timestamp, date):
+        raise TypeError(f"timestamp must be a date or None, not {type(timestamp).__name__}")
+    return Measurement(object_id, measurand_id, value, names, labels, source, timestamp)
+
+
 def make_measurement(object_id, measurand_id, value, conditions=None,
                      source="", timestamp=None, schema=None):
     """Build a Measurement from a plain dict of condition labels.
 
     ``conditions`` maps condition name -> label (a ConditionValue, or None,
     "" or missing for Unknown). When a schema is given, the measurement has
-    one label per schema condition, in schema order.
+    one label per schema condition, in schema order. The other fields follow
+    ``_measurement``'s rule: a ``value`` of ``"5"`` raises TypeError.
     """
-    _check_str("object id", object_id)
-    _check_str("measurand id", measurand_id)
     conditions = conditions or {}
     if schema is not None:
         names = schema.names
@@ -176,25 +206,14 @@ def make_measurement(object_id, measurand_id, value, conditions=None,
         names = tuple(conditions)
         for name in names:
             _check_str("condition name", name)
-    return Measurement(
-        object=object_id,
-        measurand=measurand_id,
-        value=float(value),
-        names=names,
-        labels=tuple(_label(conditions.get(name)) for name in names),
-        source=source,
-        timestamp=timestamp,
-    )
+    labels = tuple(_label(conditions.get(name)) for name in names)
+    return _measurement(object_id, measurand_id, value, names, labels, source, timestamp)
 
 
-class DatasetIndex(NamedTuple):
-    """Declarations by id (the first of duplicate ids wins) and measurements
-    by (object, measurand): groups in first-appearance order, each group in
-    dataset order."""
-
-    objects: dict[str, ObjectRef]
-    measurands: dict[str, Measurand]
-    groups: dict[tuple[str, str], list[Measurement]]
+# Declarations by id (the first of duplicate ids wins) and measurements by
+# (object, measurand): groups in first-appearance order, each group in
+# dataset order.
+DatasetIndex = namedtuple("DatasetIndex", "objects measurands groups")
 
 
 @dataclass(frozen=True)

@@ -214,6 +214,14 @@ class TestBadInput:
         ("scale_min_neg_inf.json", "measurand 'M': scale_min must be finite, not -inf"),
         ("scale_max_nan.json", "measurand 'M': scale_max must be finite, not nan"),
         ("source_not_string.json", "measurement 2: source must be a string or null, not int"),
+        ("value_bool.json", "measurement 2: value must be a number, not bool"),
+        ("value_numeric_string.json", "measurement 2: value must be a number, not str"),
+        ("non_numeric_value.json", "measurement 2: value must be a number, not str"),
+        ("value_int_too_large.json", "measurement 2: int too large to convert to float"),
+        ("timestamp_not_string.json",
+         "measurement 2: timestamp must be a string or null, not int"),
+        ("unit_not_string.json", "measurand 'M': unit must be a string, not int"),
+        ("scale_min_bool.json", "measurand 'M': scale_min must be a number, not bool"),
     ])
     @pytest.mark.parametrize("command", ["assess", "validate"])
     def test_field_value_errors(self, capsys, command, name, message):

@@ -1,4 +1,5 @@
 import csv
+import datetime
 import io
 import json
 import random
@@ -449,6 +450,39 @@ class TestLoadErrors:
         with pytest.raises(ParseError, match="^measurement 2: source must be a string or "
                                              f"null, not {type(source).__name__}$"):
             dataset_from_obj(obj)
+
+    @staticmethod
+    def second_row(**fields):
+        return {"schema": {"conditions": []}, "objects": [{"id": "A"}],
+                "measurands": [{"id": "M"}],
+                "measurements": [{"object": "A", "measurand": "M", "value": 2.0},
+                                 {"object": "A", "measurand": "M", "value": 1.0, **fields}]}
+
+    @pytest.mark.parametrize("value", [True, False, "12.5", "NaN", ""])
+    def test_json_value_must_be_a_number(self, value):
+        with pytest.raises(ParseError, match="^measurement 2: value must be a number, "
+                                             f"not {type(value).__name__}$"):
+            dataset_from_obj(self.second_row(value=value))
+
+    @pytest.mark.parametrize("timestamp", [0, False, [], {}, 1.5])
+    def test_json_timestamp_must_be_a_string_or_null(self, timestamp):
+        with pytest.raises(ParseError, match="^measurement 2: timestamp must be a string or "
+                                             f"null, not {type(timestamp).__name__}$"):
+            dataset_from_obj(self.second_row(timestamp=timestamp))
+
+    @pytest.mark.parametrize("timestamp, day", [
+        (None, None), ("", None), ("2022-05-01", datetime.date(2022, 5, 1))])
+    def test_json_timestamp_text(self, timestamp, day):
+        ds = dataset_from_obj(self.second_row(timestamp=timestamp))
+        assert ds.measurements[1].timestamp == day
+
+    def test_integer_bounds_save_as_floats(self, tmp_path):
+        obj = self.second_row()
+        obj["measurands"][0].update(scale_min=1, scale_max=7)
+        path = tmp_path / "int.json"
+        save_dataset(dataset_from_obj(obj), path)
+        text = path.read_text()
+        assert '"scale_min": 1.0,' in text and '"scale_max": 7.0,' in text
 
     # more cases, as files, in tests/data/bad/
     @pytest.mark.parametrize("breakage, message", [

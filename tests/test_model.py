@@ -1,4 +1,5 @@
 import dataclasses
+import datetime
 import math
 import random
 
@@ -143,6 +144,61 @@ class TestIds:
             make_measurement("A", 7, 1.0)
         with pytest.raises(ValueError, match="object id must be non-empty"):
             make_measurement("", "m", 1.0)
+
+
+class TestRowRule:
+    @pytest.mark.parametrize("value", ["5", True, False])
+    def test_value_must_be_a_number(self, value):
+        with pytest.raises(TypeError, match=f"^value must be a number, not "
+                                            f"{type(value).__name__}$"):
+            make_measurement("A", "M", value)
+
+    def test_numpy_numbers_load_as_floats(self):
+        np = pytest.importorskip("numpy")
+        for value in (np.int64(5), np.float32(2.5), 7):
+            m = make_measurement("A", "M", value)
+            assert type(m.value) is float and m.value == float(value)
+
+    def test_source_is_a_string_or_none(self):
+        assert make_measurement("A", "M", 1.0, source=None).source == ""
+        with pytest.raises(TypeError, match="^source must be a string or null, not int$"):
+            make_measurement("A", "M", 1.0, source=5)
+
+    def test_timestamp_is_a_date_or_none(self):
+        day = datetime.date(2022, 5, 1)
+        assert make_measurement("A", "M", 1.0, timestamp=day).timestamp == day
+        with pytest.raises(TypeError, match="^timestamp must be a date or None, not str$"):
+            make_measurement("A", "M", 1.0, timestamp="2022-05-01")
+
+
+class TestDeclarationFields:
+    @pytest.mark.parametrize("fields, message", [
+        ({"unit": 5}, "unit must be a string, not int"),
+        ({"display_name": None}, "display_name must be a string, not NoneType"),
+        ({"scale_min": True}, "scale_min must be a number, not bool"),
+        ({"scale_min": "0"}, "scale_min must be a number, not str"),
+        ({"scale_max": "10"}, "scale_max must be a number, not str"),
+    ])
+    def test_measurand_fields(self, fields, message):
+        with pytest.raises(TypeError, match=f"^measurand 'M': {message}$"):
+            Measurand(**{"id": "M", "display_name": "M", "unit": "", **fields})
+
+    def test_integer_bounds_become_floats(self):
+        m = Measurand("M", "M", "", scale_min=1, scale_max=7)
+        assert (type(m.scale_min), type(m.scale_max)) == (float, float)
+        assert dataclasses.replace(m, scale_max=None).scale_max is None
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"display_name": [1]}, "display_name must be a string, not list"),
+        ({"description": 5}, "description must be a string or null, not int"),
+    ])
+    def test_object_fields(self, fields, message):
+        with pytest.raises(TypeError, match=f"^object 'A': {message}$"):
+            ObjectRef(**{"id": "A", "display_name": "A", **fields})
+
+    def test_object_description_may_be_none_or_text(self):
+        assert ObjectRef("A", "A").description is None
+        assert ObjectRef("A", "", "a system").description == "a system"
 
 
 class TestMeasurand:
