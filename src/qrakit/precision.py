@@ -98,7 +98,9 @@ def sample_stats(shifted):
         # keep constant samples exact: s is 0, not rounding noise
         return first, 0.0
     mean = math.fsum(shifted) / n
-    ss = math.fsum((v - mean) ** 2 for v in shifted)
+    # d * d, not d ** 2: libm's pow is not always correctly rounded, so only
+    # the product keeps its bits under the power-of-two scaling upstream
+    ss = math.fsum(d * d for d in [v - mean for v in shifted])
     return mean, math.sqrt(ss / (n - 1))
 
 

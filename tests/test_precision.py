@@ -281,7 +281,7 @@ class TestProperties:
             return
         n = len(values)
         mean = math.fsum(values) / n
-        s = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1))
+        s = math.sqrt(math.fsum((v - mean) * (v - mean) for v in values) / (n - 1))
         assert sample_stats(values) == (mean, s)
         s_star = unbiased_stdev(s, n)
         se = (s * s * math.sqrt(2.0 / (n - 1))) / (2.0 * s_star)
