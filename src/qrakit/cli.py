@@ -1,7 +1,8 @@
 """Command-line interface: validate, assess, subgroup and simulate.
 
-Exit codes: 0 success, 1 dataset/validation errors, 2 usage errors,
-3 computation errors (e.g. a degenerate mean or too few measurements).
+Exit codes: 0 success, else the ``exit_code`` of the QraError that ended
+the command: 1 dataset/validation errors, 2 usage errors, 3 computation
+errors (e.g. a degenerate mean or too few measurements).
 """
 from __future__ import annotations
 
@@ -10,10 +11,10 @@ import sys
 from pathlib import Path
 
 from .engine import assess_all, subgroup_assess
-from .errors import QraError
+from .errors import InvalidParameters, QraError, ValidationError
 from .io import (
+    _BUNDLED,
     _encode_error,
-    _read_bundled,
     _read_dataset,
     _utf8,
     bundled_paper_dataset,
@@ -22,10 +23,6 @@ from .io import (
 )
 from .render import RenderSpec, render_condition_matrix, render_precision_table
 from .sim import simulate
-
-EXIT_OK = 0
-EXIT_DATA = 1
-EXIT_USAGE = 2
 
 
 def _load(args):
@@ -40,8 +37,7 @@ def _emit(args, document: str) -> None:
         try:
             Path(args.out).write_bytes(data)
         except OSError as exc:
-            raise argparse.ArgumentTypeError(
-                f"--out {args.out}: {exc.strerror or exc}") from exc
+            raise InvalidParameters(f"--out {args.out}: {exc.strerror or exc}") from exc
     else:
         try:
             sys.stdout.write(document)
@@ -59,26 +55,24 @@ def _report_document(reports, args) -> str:
 
 def cmd_validate(args) -> int:
     # parse without validating, so that one pass finds errors and warnings
-    if args.input == "builtin":
-        dataset = _read_bundled()
-    else:
-        dataset = _read_dataset(args.input, args.format)
+    dataset = (_read_dataset(_BUNDLED) if args.input == "builtin"
+               else _read_dataset(args.input, args.format))
     issues = validate_dataset(dataset)
     errors = [i for i in issues if i.severity == "error"]
     # with blocking errors, only they are printed
     for issue in errors or issues:
         print(f"{issue.severity}: {issue.location}: {issue.message}")
     if errors:
-        return EXIT_DATA
+        return ValidationError.exit_code
     print(f"ok: {len(dataset.measurements)} measurements, "
           f"{len(dataset.pairs())} (object, measurand) pairs")
-    return EXIT_OK
+    return 0
 
 
 def cmd_assess(args) -> int:
     reports, _ = assess_all(_load(args), args.object, args.measurand)
     _emit(args, _report_document(reports, args))
-    return EXIT_OK
+    return 0
 
 
 def _parse_where(entries):
@@ -86,9 +80,8 @@ def _parse_where(entries):
     for entry in entries:
         name, sep, label = entry.partition("=")
         if not sep or not name.startswith("cond.") or not label:
-            raise argparse.ArgumentTypeError(
-                f"--where must look like cond.<name>=<label>, got {entry!r}"
-            )
+            raise InvalidParameters(
+                f"--where must look like cond.<name>=<label>, got {entry!r}")
         predicate.append((name[len("cond."):], label.strip("\"'")))
     return predicate
 
@@ -98,7 +91,7 @@ def cmd_subgroup(args) -> int:
     predicate = _parse_where(args.where or [])
     report = subgroup_assess(dataset, args.object, args.measurand, predicate)
     _emit(args, _report_document([report], args))
-    return EXIT_OK
+    return 0
 
 
 def cmd_simulate(args) -> int:
@@ -113,7 +106,7 @@ def cmd_simulate(args) -> int:
         f"95% CI coverage of sigma: {result.ci_coverage:.4f}",
     ]
     _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return 0
 
 
 def _add_dataset_args(parser):
@@ -176,9 +169,6 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except QraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

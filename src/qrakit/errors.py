@@ -33,7 +33,8 @@ class InvalidDf(QraError):
 
 
 class InvalidParameters(QraError):
-    """Bad simulation parameters (n, sigma, trials)."""
+    """A usage error: a bad CLI argument or ``--out`` file, or bad simulation
+    parameters (n, sigma, trials, seed)."""
 
     exit_code = 2
 

@@ -282,17 +282,7 @@ def _measurements(rows, schema: ConditionSchema, where) -> tuple:
     timestamp, raw_labels)``, one raw label per schema condition and the timestamp
     ISO text, or None or "" for none; errors start with ``where(n)`` for row n, from 1."""
     names = schema.names
-    # _label once per distinct raw text in a load. Other raws go to _label
-    # every time: JSON 1, True and 1.0 are equal keys but label differently.
-    # None, the common Unknown, equals no other raw.
-    memo = {None: None, "": None}
-
-    def label(raw):
-        if type(raw) is not str:
-            return _label(raw)
-        memo[raw] = found = _label(raw)
-        return found
-
+    memo = {None: None, "": None}  # _label once per distinct raw label in a load
     measurements = []
     try:
         for obj, measurand, value, source, ts, raw in rows:
@@ -302,7 +292,8 @@ def _measurements(rows, schema: ConditionSchema, where) -> tuple:
             try:
                 labels = tuple(map(memo.__getitem__, raw))
             except (KeyError, TypeError):  # a new label, or an unhashable raw
-                labels = tuple(map(label, raw))
+                labels = tuple(map(_label, raw))
+                memo.update(zip(raw, labels))
             measurements.append(_measurement(obj, measurand, value, names, labels,
                                              source, ts))
     except _FIELD_ERRORS as exc:
@@ -483,12 +474,9 @@ def save_dataset(dataset: QraDataset, path, fmt: str = "auto") -> None:
         target.write_bytes(data)
 
 
-def _read_bundled() -> QraDataset:
-    """The packaged benchmark dataset, parsed but not validated."""
-    path = Path(__file__).with_name("data") / "qra_benchmark.json"
-    return _dataset_from_obj(_read_json(path), f"{path}: ")
+_BUNDLED = Path(__file__).with_name("data") / "qra_benchmark.json"
 
 
 def bundled_paper_dataset() -> QraDataset:
     """The packaged 116-measurement benchmark dataset (18 assessable pairs)."""
-    return _validated(_read_bundled())  # errors: a packaging defect
+    return _validated(_read_dataset(_BUNDLED))  # errors: a packaging defect

@@ -114,7 +114,7 @@ class ConditionValue:
     label: str | None = None
 
     def __post_init__(self):
-        if self.label is not None and not self.label:
+        if self.label is not None and _label(self.label) is None:
             raise ValueError("known condition labels must be non-empty")
 
     @property
@@ -165,12 +165,16 @@ class Measurement(namedtuple("Measurement", "object measurand value names labels
 
 
 def _label(raw) -> str | None:
+    """The label a measurement holds for ``raw``: a string, or None for
+    Unknown (None, "" or UNKNOWN). Any other type is refused."""
     if isinstance(raw, ConditionValue):
         raw = raw.label
-    if raw is None or raw == "":
+    if raw is None:
         return None
+    if not isinstance(raw, str):
+        raise TypeError(f"condition label must be a string or null, not {type(raw).__name__}")
     # one string object per distinct label across a loaded dataset
-    return sys.intern(str(raw))
+    return sys.intern(str(raw)) if raw else None
 
 
 def _measurement(object_id, measurand_id, value, names, labels, source, timestamp):

@@ -123,6 +123,17 @@ class TestSimulate:
         assert code == 2
         assert "trials" in err
 
+    @pytest.mark.parametrize("sigma, seed, code, message", [
+        ("1e200", "1", 3, "mean(s) is inf: sigma or mu is too close to the top of "
+                          "the float range"),
+        ("nan", "1", 2, "sigma must be finite and > 0, got nan"),
+        ("1", "-1", 2, "seed must be >= 0, got -1"),
+    ])
+    def test_bad_parameters_end_in_one_error_line(self, capsys, sigma, seed, code,
+                                                  message):
+        assert run(capsys, "simulate", "--n", "5", "--sigma", sigma, "--trials", "100",
+                   "--seed", seed) == (code, "", f"error: {message}\n")
+
     def test_deterministic(self, capsys):
         argv = ("simulate", "--n", "3", "--sigma", "2", "--trials", "5000",
                 "--seed", "11")
@@ -214,6 +225,8 @@ class TestBadInput:
         ("scale_min_neg_inf.json", "measurand 'M': scale_min must be finite, not -inf"),
         ("scale_max_nan.json", "measurand 'M': scale_max must be finite, not nan"),
         ("source_not_string.json", "measurement 2: source must be a string or null, not int"),
+        ("label_not_string.json",
+         "measurement 2: condition label must be a string or null, not int"),
         ("value_bool.json", "measurement 2: value must be a number, not bool"),
         ("value_numeric_string.json", "measurement 2: value must be a number, not str"),
         ("non_numeric_value.json", "measurement 2: value must be a number, not str"),

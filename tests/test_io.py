@@ -240,15 +240,17 @@ class TestJsonWriter:
 
 class TestConditionCells:
     def test_json_labels_load_as_text(self, ds, tmp_path):
-        obj = dataset_to_obj(ds)
-        raw = [1, True, 1.0, [1], "1"]
-        for row, label in zip(obj["measurements"], raw):
-            row["conditions"]["test_set"] = label
+        # only a string or null is a label: no other JSON leaf is read as its text
         path = tmp_path / "labels.json"
-        path.write_text(json.dumps(obj))
-        loaded = load_dataset(path)
-        assert [m.condition("test_set").label for m in loaded.measurements[:5]] == \
-            ["1", "True", "1.0", "[1]", "1"]
+        for raw, kind in ((1, "int"), (True, "bool"), (1.0, "float"), ([1], "list"),
+                          ({"a": 1}, "dict")):
+            obj = dataset_to_obj(ds)
+            obj["measurements"][0]["conditions"]["test_set"] = raw
+            path.write_text(json.dumps(obj))
+            with pytest.raises(ParseError) as exc:
+                load_dataset(path)
+            assert str(exc.value) == (f"{path}: measurement 1: condition label must be "
+                                      f"a string or null, not {kind}")
 
     @pytest.mark.parametrize("name", ["data.json", "data.csv"])
     def test_load_makes_one_value_per_distinct_label(self, tmp_path, name):

@@ -33,7 +33,8 @@ PALETTE = [None, True, False, 0, -1, 1e308, -1e308, math.inf, -math.inf, math.na
            1.5, "NaN"]
 
 # The JSON types a field of a document that loads may hold (a bool is no
-# number); condition labels are not listed, as any leaf is read as its text.
+# number). A condition label, a string or null, is keyed by its condition's
+# name, and is read only when the loaded schema declares that name.
 NUMBER, TEXT, NULL = (int, float), (str,), (type(None),)
 FIELD_TYPES = {
     "value": NUMBER, "scale_min": NUMBER, "scale_max": NUMBER + NULL,
@@ -161,10 +162,11 @@ def assert_ends_well(path, doc, changes):
         assert code
     else:
         assert_typed(dataset)
+        types = {**dict.fromkeys(dataset.schema.names, TEXT + NULL), **FIELD_TYPES}
         for key_path, _ in changes:
-            if key_path[-1] in FIELD_TYPES:
+            if key_path[-1] in types:
                 leaf = at(doc, key_path)
-                assert isinstance(leaf, FIELD_TYPES[key_path[-1]]), (key_path, leaf)
+                assert isinstance(leaf, types[key_path[-1]]), (key_path, leaf)
                 assert not isinstance(leaf, bool), (key_path, leaf)
     code, out, err = run("validate", "--input", str(path))
     if err:

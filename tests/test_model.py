@@ -97,6 +97,11 @@ class TestConditionValue:
         with pytest.raises(ValueError):
             ConditionValue("")
 
+    def test_non_string_label_rejected(self):
+        with pytest.raises(TypeError, match="^condition label must be a string or null, "
+                                            "not int$"):
+            ConditionValue(5)
+
 
 class TestSharedCells:
     def test_equal_labels_share_one_value(self):

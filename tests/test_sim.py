@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from qrakit.errors import InvalidParameters
+from qrakit.errors import InvalidParameters, NonFiniteResult
 from qrakit.precision import c4
 from qrakit.sim import simulate
 
@@ -43,7 +43,16 @@ class TestSimulate:
         dict(n=1, sigma=1.0, trials=10, seed=0),
         dict(n=5, sigma=0.0, trials=10, seed=0),
         dict(n=5, sigma=1.0, trials=0, seed=0),
+        dict(n=5, sigma=math.nan, trials=10, seed=0),
+        dict(n=5, sigma=math.inf, trials=10, seed=0),
+        dict(n=5, sigma=1.0, trials=10, seed=-1),
     ])
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(InvalidParameters):
             simulate(**kwargs)
+
+    @pytest.mark.parametrize("sigma", [1e200, 1e307])
+    def test_overflowing_spread_is_not_a_result(self, sigma):
+        # the squares of the deviations overflow, so s is inf
+        with pytest.raises(NonFiniteResult, match=r"^mean\(s\) is inf: "):
+            simulate(5, sigma, 100, 1)
