@@ -15,13 +15,7 @@ from .engine import (
     subgroup_assess,
 )
 from .errors import QraError
-from .io import (
-    ValidationIssue,
-    bundled_paper_dataset,
-    load_dataset,
-    save_dataset,
-    validate_dataset,
-)
+from .io import bundled_paper_dataset, load_dataset, save_dataset
 from .model import (
     ConditionSchema,
     ConditionValue,
@@ -30,10 +24,12 @@ from .model import (
     ObjectRef,
     QraDataset,
     UNKNOWN,
+    ValidationIssue,
     default_condition_schema,
     group,
     known,
     make_measurement,
+    validate_dataset,
 )
 from .precision import (
     PrecisionResult,

@@ -19,8 +19,8 @@ from .io import (
     _utf8,
     bundled_paper_dataset,
     load_dataset,
-    validate_dataset,
 )
+from .model import validate_dataset
 from .render import RenderSpec, render_condition_matrix, render_precision_table
 from .sim import simulate
 

@@ -1,4 +1,4 @@
-"""Dataset loading, saving and validation, plus the bundled fixture.
+"""Dataset loading and saving, plus the bundled fixture.
 
 Two formats are supported. JSON mirrors the dataset types one-to-one and
 is the lossless interchange format. CSV holds one measurement per row
@@ -12,10 +12,7 @@ from __future__ import annotations
 import csv
 import datetime
 import json
-import math
 import re
-import sys
-from collections import Counter, namedtuple
 from io import StringIO
 from pathlib import Path
 
@@ -28,72 +25,11 @@ from .model import (
     _label,
     _measurement,
     default_condition_schema,
+    validate_dataset,
 )
 
 _RESERVED_COLUMNS = ("object", "measurand", "value", "source")
 _COND_PREFIX = "cond."
-
-
-# severity is "error" or "warning"; copy one with ``issue._replace(...)``
-ValidationIssue = namedtuple("ValidationIssue", "severity location message")
-
-
-def validate_dataset(dataset: QraDataset):
-    """Check referential integrity and value/scale invariants.
-
-    Returns all issues found; errors block assessment, warnings do not.
-    """
-    issues = []
-
-    def err(location, message):
-        issues.append(ValidationIssue("error", location, message))
-
-    def warn(location, message):
-        issues.append(ValidationIssue("warning", location, message))
-
-    for declared, kind in ((dataset.objects, "object"), (dataset.measurands, "measurand")):
-        counts = Counter(d.id for d in declared)
-        for dup in sorted(i for i, n in counts.items() if n > 1):
-            err(dup, f"duplicate {kind} id")
-
-    index = dataset.index
-    names = dataset.schema.names
-    schema_names = set(names)
-    # per measurand id, its finite scale (lo, hi): a row within it, of a declared
-    # object and with the schema's names has no issue; only other rows are checked
-    bounds = {
-        m.id: (m.scale_min, sys.float_info.max if m.scale_max is None else m.scale_max)
-        for m in index.measurands.values()
-    }
-    for row, m in enumerate(dataset.measurements, start=1):
-        lo, hi = bounds.get(m.measurand, (None, None))
-        if (lo is not None and lo <= m.value <= hi
-                and m.names is names and m.object in index.objects):
-            continue
-        loc = f"measurement {row} ({m.object}, {m.measurand})"
-        if m.object not in index.objects:
-            err(loc, f"references undeclared object {m.object!r}")
-        if lo is None:
-            err(loc, f"references undeclared measurand {m.measurand!r}")
-            continue
-        if not math.isfinite(m.value):
-            err(loc, f"value {m.value} is not a finite number")
-        elif m.value < lo:
-            err(loc, f"value {m.value} below scale minimum {lo}")
-        elif m.value > hi:
-            err(loc, f"value {m.value} above scale maximum {hi}")
-        missing = schema_names.difference(m.names)
-        if missing:
-            warn(loc, f"no entry for conditions {sorted(missing)}; treated as Unknown")
-        extra = set(m.names).difference(schema_names)
-        if extra:
-            warn(loc, f"conditions {sorted(extra)} are not in the schema; not saved")
-
-    for (obj, meas), members in index.groups.items():
-        if len(members) < 2:
-            warn(f"({obj}, {meas})",
-                 "only one measurement; pair is not assessable (n >= 2 required)")
-    return issues
 
 
 # ---------------------------------------------------------------- JSON
@@ -124,7 +60,7 @@ def dataset_to_obj(dataset: QraDataset) -> dict:
     obj["measurements"] = [
         {"object": m.object, "measurand": m.measurand, "value": m.value, "source": m.source,
          "timestamp": m.timestamp.isoformat() if m.timestamp else None,
-         "conditions": dict(zip(m.names, m.labels))}
+         "conditions": {name: m.label(name) for name in m.names}}
         for m in dataset.measurements
     ]
     return obj
@@ -160,14 +96,14 @@ def _dataset_to_json(dataset: QraDataset) -> str:
         names = m.names
         entry = templates.get(names)
         if entry is None:
+            # a repeated name keeps its first place and, by labels_in, its first label
             keys = tuple(dict.fromkeys(names))
-            # a repeated name keeps its first place and its last label, as in a dict
-            entry = templates[names] = (_row_template(keys), len(keys) < len(names))
-        template, repeated = entry
+            entry = templates[names] = (_row_template(keys), keys)
+        template, keys = entry
         rows.append(template)
         leaves += (m.object, m.measurand, m.value, m.source,
                    m.timestamp.isoformat() if m.timestamp else None)
-        leaves += dict(zip(names, m.labels)).values() if repeated else m.labels
+        leaves += m.labels_in(keys)
     measurements = "[]"
     if rows:
         body = ",\n".join(rows) % tuple(_encode_lines(leaves)[1:-1].split("\n"))

@@ -1,13 +1,15 @@
 """Domain types: measurands, objects, conditions of measurement, datasets.
 
-All types are immutable once a dataset is assembled, so datasets can be
-shared freely between concurrent readers.
+Also the rules of a valid dataset: the declarations check their own fields,
+``_measurement`` defines a valid row and ``validate_dataset`` checks the
+dataset as a whole. All types are immutable once a dataset is assembled, so
+datasets can be shared freely between concurrent readers.
 """
 from __future__ import annotations
 
 import math
 import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
@@ -257,6 +259,68 @@ class QraDataset:
     def pairs(self) -> list[tuple[str, str]]:
         """Distinct (object, measurand) pairs, in first-appearance order."""
         return list(self.index.groups)
+
+
+# severity is "error" or "warning"; copy one with ``issue._replace(...)``
+ValidationIssue = namedtuple("ValidationIssue", "severity location message")
+
+
+def validate_dataset(dataset: QraDataset):
+    """Check referential integrity and value/scale invariants.
+
+    Returns all issues found; errors block assessment, warnings do not.
+    """
+    issues = []
+
+    def err(location, message):
+        issues.append(ValidationIssue("error", location, message))
+
+    def warn(location, message):
+        issues.append(ValidationIssue("warning", location, message))
+
+    for declared, kind in ((dataset.objects, "object"), (dataset.measurands, "measurand")):
+        counts = Counter(d.id for d in declared)
+        for dup in sorted(i for i, n in counts.items() if n > 1):
+            err(dup, f"duplicate {kind} id")
+
+    index = dataset.index
+    names = dataset.schema.names
+    schema_names = set(names)
+    # per measurand id, its finite scale (lo, hi): a row within it, of a declared
+    # object and with the schema's names has no issue; only other rows are checked
+    bounds = {
+        m.id: (m.scale_min, sys.float_info.max if m.scale_max is None else m.scale_max)
+        for m in index.measurands.values()
+    }
+    for row, m in enumerate(dataset.measurements, start=1):
+        lo, hi = bounds.get(m.measurand, (None, None))
+        if (lo is not None and lo <= m.value <= hi
+                and m.names is names and m.object in index.objects):
+            continue
+        loc = f"measurement {row} ({m.object}, {m.measurand})"
+        if m.object not in index.objects:
+            err(loc, f"references undeclared object {m.object!r}")
+        if lo is None:
+            err(loc, f"references undeclared measurand {m.measurand!r}")
+            continue
+        if not math.isfinite(m.value):
+            err(loc, f"value {m.value} is not a finite number")
+        elif m.value < lo:
+            err(loc, f"value {m.value} below scale minimum {lo}")
+        elif m.value > hi:
+            err(loc, f"value {m.value} above scale maximum {hi}")
+        missing = schema_names.difference(m.names)
+        if missing:
+            warn(loc, f"no entry for conditions {sorted(missing)}; treated as Unknown")
+        extra = set(m.names).difference(schema_names)
+        if extra:
+            warn(loc, f"conditions {sorted(extra)} are not in the schema; not saved")
+
+    for (obj, meas), members in index.groups.items():
+        if len(members) < 2:
+            warn(f"({obj}, {meas})",
+                 "only one measurement; pair is not assessable (n >= 2 required)")
+    return issues
 
 
 def default_condition_schema() -> ConditionSchema:

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,8 +125,8 @@ class TestSimulate:
         assert "trials" in err
 
     @pytest.mark.parametrize("sigma, seed, code, message", [
-        ("1e200", "1", 3, "mean(s) is inf: sigma or mu is too close to the top of "
-                          "the float range"),
+        (repr(sys.float_info.max), "0", 3, "mean(s*) is inf: sigma is too close to "
+                                           "the top of the float range"),
         ("nan", "1", 2, "sigma must be finite and > 0, got nan"),
         ("1", "-1", 2, "seed must be >= 0, got -1"),
     ])

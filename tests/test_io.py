@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qrakit.engine import condition_diff
 from qrakit.errors import EncodeError, ParseError, SchemaError, ValidationError
 from qrakit.io import (
     _dataset_to_json,
@@ -87,6 +88,23 @@ class TestRoundTrip:
 
     def test_obj_round_trip(self, ds):
         assert dataset_from_obj(dataset_to_obj(ds)) == ds
+
+    @pytest.mark.parametrize("name", ["data.json", "data.csv"])
+    def test_repeated_condition_name_reloads_as_assessed(self, tmp_path, name):
+        # the first entry of a repeated name counts, in the engine and in both writers
+        schema = ConditionSchema(conditions=(("a", OBJECT_CONDITION),
+                                             ("b", MEASUREMENT_PROCEDURE)))
+        dataset = QraDataset(
+            schema=schema, objects=(ObjectRef("A", "A"),),
+            measurands=(Measurand("M", "M", ""),), measurements=(
+                Measurement("A", "M", 1.0, ("a", "b", "a"), ("x", "u", "y")),
+                Measurement("A", "M", 2.0, ("a", "a", "b"), ("x", "z", "u")),
+            ))
+        path = tmp_path / name
+        save_dataset(dataset, path)
+        loaded = load_dataset(path)
+        assert (condition_diff(loaded.measurements, loaded.schema)
+                == condition_diff(dataset.measurements, schema))
 
     def test_null_source_reads_as_empty(self, ds, tmp_path):
         obj = dataset_to_obj(ds)
@@ -228,7 +246,7 @@ class TestJsonWriter:
                 make_measurement("A", "M", -float("inf"), {"x": "1"}),
                 make_measurement("A", "M", 2, {"%": "%s"}, schema=None),
             )),
-            # a repeated name keeps its first place and its last label, as a dict does
+            # a repeated name keeps its first place and its first label, as m.label gives it
             QraDataset(schema=schema, **header, measurements=(
                 Measurement("A", "M", 1.0, ("a", "b", "a"), ("x", None, "z")),
                 Measurement("A", "M", 1.0, ("a", "b"), ("x", None)),

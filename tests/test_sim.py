@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -51,8 +52,15 @@ class TestSimulate:
         with pytest.raises(InvalidParameters):
             simulate(**kwargs)
 
-    @pytest.mark.parametrize("sigma", [1e200, 1e307])
-    def test_overflowing_spread_is_not_a_result(self, sigma):
-        # the squares of the deviations overflow, so s is inf
-        with pytest.raises(NonFiniteResult, match=r"^mean\(s\) is inf: "):
-            simulate(5, sigma, 100, 1)
+    @pytest.mark.parametrize("k", [1e-300, 1e200, 1e307])
+    def test_scale_is_exact(self, k):
+        # drawn on the unit scale: sigma only multiplies the means
+        unit, scaled = simulate(5, 1.0, 1000, 1), simulate(5, k, 1000, 1)
+        assert scaled.mean_s == k * unit.mean_s
+        assert scaled.mean_s_star == k * unit.mean_s_star
+        assert scaled.ci_coverage == unit.ci_coverage
+
+    def test_overflowing_spread_is_not_a_result(self):
+        # mean(s*) is about sigma, which here is the largest float
+        with pytest.raises(NonFiniteResult, match=r"^mean\(s\*\) is inf: "):
+            simulate(5, sys.float_info.max, 100, 0)
