@@ -70,7 +70,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_assess(args) -> int:
-    reports, _ = assess_all(_load(args), args.object, args.measurand)
+    reports, skipped = assess_all(_load(args), args.object, args.measurand)
+    for (obj, measurand), reason in skipped:
+        print(f"note: ({obj}, {measurand}) skipped: {reason}", file=sys.stderr)
     _emit(args, _report_document(reports, args))
     return 0
 
@@ -101,8 +103,8 @@ def cmd_simulate(args) -> int:
         f"n          {result.n}",
         f"sigma      {result.sigma:g}",
         f"trials     {result.trials}",
-        f"mean(s)    {result.mean_s:.6f}",
-        f"mean(s*)   {result.mean_s_star:.6f}",
+        f"mean(s)    {result.mean_s:.7g}",
+        f"mean(s*)   {result.mean_s_star:.7g}",
         f"95% CI coverage of sigma: {result.ci_coverage:.4f}",
     ]
     _emit(args, "\n".join(lines) + "\n")

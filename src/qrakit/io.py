@@ -87,29 +87,39 @@ def _row_template(keys) -> str:
             + ("{\n" + conditions + "\n      }" if keys else "{}") + "\n    }")
 
 
-def _dataset_to_json(dataset: QraDataset) -> str:
-    """``json.dumps(dataset_to_obj(dataset), indent=2, ensure_ascii=False)``
-    and a newline, with the measurements' leaves encoded by json's C encoder
-    in one call and poured into one row template per distinct ``names``."""
-    leaves, rows, templates = [], [], {}
-    for m in dataset.measurements:
-        names = m.names
-        entry = templates.get(names)
-        if entry is None:
-            # a repeated name keeps its first place and, by labels_in, its first label
-            keys = tuple(dict.fromkeys(names))
-            entry = templates[names] = (_row_template(keys), keys)
-        template, keys = entry
-        rows.append(template)
-        leaves += (m.object, m.measurand, m.value, m.source,
-                   m.timestamp.isoformat() if m.timestamp else None)
-        leaves += m.labels_in(keys)
-    measurements = "[]"
-    if rows:
-        body = ",\n".join(rows) % tuple(_encode_lines(leaves)[1:-1].split("\n"))
-        measurements = f"[\n{body}\n  ]"
+# measurements built, encoded and held as text at a time by the writers; a
+# block's transient objects take several times its text, so blocks stay small
+_BLOCK = 256
+
+
+def _blocks(measurements):
+    return (measurements[i:i + _BLOCK] for i in range(0, len(measurements), _BLOCK))
+
+
+def _dataset_to_json(dataset: QraDataset):
+    """``json.dumps(dataset_to_obj(dataset), indent=2, ensure_ascii=False)`` and
+    a newline, in pieces: the header, one per block of measurements, whose leaves
+    json's C encoder encodes in one call, then the closing text."""
     # the header's text ends in "\n}"; the measurements go before it
-    return f'{_header_text(dataset)[:-2]},\n  "measurements": {measurements}\n}}\n'
+    yield f'{_header_text(dataset)[:-2]},\n  "measurements": ['
+    templates, separator = {}, "\n"
+    for block in _blocks(dataset.measurements):
+        leaves, rows = [], []
+        for m in block:
+            names = m.names
+            entry = templates.get(names)
+            if entry is None:
+                # a repeated name keeps its first place and, by labels_in, its first label
+                keys = tuple(dict.fromkeys(names))
+                entry = templates[names] = (_row_template(keys), keys)
+            template, keys = entry
+            rows.append(template)
+            leaves += (m.object, m.measurand, m.value, m.source,
+                       m.timestamp.isoformat() if m.timestamp else None)
+            leaves += m.labels_in(keys)
+        yield separator + ",\n".join(rows) % tuple(_encode_lines(leaves)[1:-1].split("\n"))
+        separator = ",\n"
+    yield "\n  ]\n}\n" if dataset.measurements else "]\n}\n"
 
 
 _FIELD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)  # float(10**400)
@@ -273,21 +283,29 @@ def _meta_path(path: Path) -> Path:
     return path.with_suffix(".meta.json")
 
 
-def _dataset_to_csv_rows(dataset: QraDataset):
+def _csv_text(rows) -> str:
+    text = StringIO(newline="")
+    csv.writer(text).writerows(rows)
+    return text.getvalue()
+
+
+def _dataset_to_csv(dataset: QraDataset):
+    """A dataset's CSV text in pieces: the header row, then one per block."""
     names = dataset.schema.names
     has_timestamp = any(m.timestamp for m in dataset.measurements)
     header = list(_RESERVED_COLUMNS)
     if has_timestamp:
         header.append("timestamp")
-    header += [_COND_PREFIX + name for name in names]
-    rows = [header]
-    for m in dataset.measurements:
-        row = [m.object, m.measurand, repr(m.value), m.source]
+
+    def row(m):
+        cells = [m.object, m.measurand, repr(m.value), m.source]
         if has_timestamp:
-            row.append(m.timestamp.isoformat() if m.timestamp else "")
-        row += [label or "" for label in m.labels_in(names)]
-        rows.append(row)
-    return rows
+            cells.append(m.timestamp.isoformat() if m.timestamp else "")
+        return cells + [label or "" for label in m.labels_in(names)]
+
+    yield _csv_text([header + [_COND_PREFIX + name for name in names]])
+    for block in _blocks(dataset.measurements):
+        yield _csv_text(map(row, block))
 
 
 def _dataset_from_csv(path: Path) -> QraDataset:
@@ -398,16 +416,16 @@ def save_dataset(dataset: QraDataset, path, fmt: str = "auto") -> None:
     """Write a dataset to disk; CSV also writes the .meta.json sidecar."""
     path = Path(path)
     if _resolve_format(path, fmt) == "csv":
-        rows = StringIO(newline="")
-        csv.writer(rows).writerows(_dataset_to_csv_rows(dataset))
-        texts = [(path, rows.getvalue()), (_meta_path(path), _header_text(dataset) + "\n")]
+        texts = [(path, _dataset_to_csv(dataset)),
+                 (_meta_path(path), [_header_text(dataset), "\n"])]
     else:
         texts = [(path, _dataset_to_json(dataset))]
     # encode every file before opening any: text that UTF-8 cannot hold
     # then leaves existing files as they were
-    encoded = [(target, _utf8(text, target)) for target, text in texts]
+    encoded = [(target, [_utf8(text, target) for text in pieces]) for target, pieces in texts]
     for target, data in encoded:
-        target.write_bytes(data)
+        with target.open("wb") as file:
+            file.writelines(data)
 
 
 _BUNDLED = Path(__file__).with_name("data") / "qra_benchmark.json"

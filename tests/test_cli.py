@@ -1,5 +1,6 @@
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from qrakit import errors
 from qrakit.cli import main
 from qrakit.io import bundled_paper_dataset, save_dataset, validate_dataset
+from qrakit.model import ObjectRef
+from qrakit.sim import simulate
 
 
 BAD = Path(__file__).resolve().parent / "data" / "bad"
@@ -41,6 +44,19 @@ class TestAssess:
         code, copy_out, _ = run(capsys, "assess", "--input", str(path))
         assert code == 0
         assert copy_out == builtin_out
+
+    def test_skipped_pair_is_a_note_on_stderr(self, capsys, tmp_path):
+        ds = bundled_paper_dataset()
+        path = tmp_path / "solo.json"
+        save_dataset(replace(ds, objects=ds.objects + (ObjectRef("solo", "solo"),),
+                             measurements=ds.measurements
+                             + (ds.measurements[0]._replace(object="solo"),)), path)
+        builtin = run(capsys, "assess", "--input", "builtin")
+        assert builtin[2] == ""
+        measurand = ds.measurements[0].measurand
+        assert run(capsys, "assess", "--input", str(path)) == (
+            0, builtin[1],
+            f"note: (solo, {measurand}) skipped: only 1 measurement; need at least 2\n")
 
     def test_missing_input_file(self, capsys):
         code, _, err = run(capsys, "assess", "--input", "missing.csv")
@@ -117,6 +133,17 @@ class TestSimulate:
         value = float(next(line for line in out.splitlines()
                            if line.startswith("mean(s*)")).split()[-1])
         assert value == pytest.approx(1.0, abs=0.01)
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e200])
+    def test_means_print_at_any_scale(self, capsys, sigma):
+        code, out, _ = run(capsys, "simulate", "--n", "5", "--sigma", repr(sigma),
+                           "--trials", "100", "--seed", "1")
+        assert code == 0
+        printed = dict(line.rsplit(None, 1) for line in out.splitlines()
+                       if line.startswith("mean("))
+        result = simulate(5, sigma, 100, 1)
+        assert float(printed["mean(s)"]) == pytest.approx(result.mean_s, rel=1e-6)
+        assert float(printed["mean(s*)"]) == pytest.approx(result.mean_s_star, rel=1e-6)
 
     def test_zero_trials_exits_2(self, capsys):
         code, _, err = run(capsys, "simulate", "--n", "5", "--sigma", "1",
