@@ -43,15 +43,9 @@ def _header_to_obj(dataset: QraDataset) -> dict:
                 for name, category in dataset.schema.conditions
             ]
         },
-        "objects": [
-            {"id": o.id, "display_name": o.display_name, "description": o.description}
-            for o in dataset.objects
-        ],
-        "measurands": [
-            {"id": m.id, "display_name": m.display_name, "unit": m.unit,
-             "scale_min": m.scale_min, "scale_max": m.scale_max, "value_kind": m.value_kind}
-            for m in dataset.measurands
-        ],
+        # a declaration's field order is its JSON key order
+        "objects": [o._asdict() for o in dataset.objects],
+        "measurands": [m._asdict() for m in dataset.measurands],
     }
 
 

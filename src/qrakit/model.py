@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter, namedtuple
-from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
 
@@ -37,87 +36,94 @@ def _number(what: str, value) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class Measurand:
+# ``_make``, so ``_replace`` too, builds through the checking ``__new__``, not ``tuple.__new__``
+_checked_make = classmethod(lambda cls, fields: cls(*fields))
+
+
+def _immutable(self, name, *value):
+    """``__setattr__`` and ``__delattr__``; ``cached_property`` writes ``__dict__`` directly."""
+    raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+
+class Measurand(namedtuple("Measurand", "id display_name unit scale_min scale_max value_kind")):
     """A named quantity with the scale metadata needed for score shifting."""
 
-    id: str
-    display_name: str
-    unit: str
-    scale_min: float = 0.0
-    scale_max: float | None = None
-    value_kind: str = "continuous"  # "continuous" or "percentage"
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        _check_str("measurand id", self.id)
-        where = f"measurand {self.id!r}: "
-        _check_str(where + "display_name", self.display_name, nonempty=False)
-        _check_str(where + "unit", self.unit, nonempty=False)
+    def __new__(cls, id, display_name, unit, scale_min=0.0, scale_max=None,
+                value_kind="continuous"):
+        _check_str("measurand id", id)
+        where = f"measurand {id!r}: "
+        _check_str(where + "display_name", display_name, nonempty=False)
+        _check_str(where + "unit", unit, nonempty=False)
         # an integer bound becomes a float, so that it saves as one
-        object.__setattr__(self, "scale_min", _number(where + "scale_min", self.scale_min))
-        if self.scale_max is not None:
-            object.__setattr__(self, "scale_max", _number(where + "scale_max", self.scale_max))
-        if not math.isfinite(self.scale_min):
-            raise ValueError(f"{where}scale_min must be finite, not {self.scale_min}")
-        if self.scale_max is not None and not math.isfinite(self.scale_max):
-            raise ValueError(f"{where}scale_max must be finite, not {self.scale_max}")
-        if self.scale_max is not None and not self.scale_max > self.scale_min:
+        scale_min = _number(where + "scale_min", scale_min)
+        if scale_max is not None:
+            scale_max = _number(where + "scale_max", scale_max)
+        if not math.isfinite(scale_min):
+            raise ValueError(f"{where}scale_min must be finite, not {scale_min}")
+        if scale_max is not None and not math.isfinite(scale_max):
+            raise ValueError(f"{where}scale_max must be finite, not {scale_max}")
+        if scale_max is not None and not scale_max > scale_min:
             raise ValueError(f"{where}scale_max must exceed scale_min")
-        if self.value_kind not in ("continuous", "percentage"):
-            raise ValueError(f"unknown value_kind {self.value_kind!r}")
+        if value_kind not in ("continuous", "percentage"):
+            raise ValueError(f"unknown value_kind {value_kind!r}")
+        return super().__new__(cls, id, display_name, unit, scale_min, scale_max, value_kind)
 
 
-@dataclass(frozen=True)
-class ObjectRef:
+class ObjectRef(namedtuple("ObjectRef", "id display_name description")):
     """The thing being measured, e.g. one system variant."""
 
-    id: str
-    display_name: str
-    description: str | None = None
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        _check_str("object id", self.id)
-        _check_str(f"object {self.id!r}: display_name", self.display_name, nonempty=False)
-        if self.description is not None and not isinstance(self.description, str):
-            raise TypeError(f"object {self.id!r}: description must be a string or null, "
-                            f"not {type(self.description).__name__}")
+    def __new__(cls, id, display_name, description=None):
+        _check_str("object id", id)
+        _check_str(f"object {id!r}: display_name", display_name, nonempty=False)
+        if description is not None and not isinstance(description, str):
+            raise TypeError(f"object {id!r}: description must be a string or null, "
+                            f"not {type(description).__name__}")
+        return super().__new__(cls, id, display_name, description)
 
 
-@dataclass(frozen=True)
-class ConditionSchema:
+class ConditionSchema(namedtuple("ConditionSchema", "conditions")):
     """Ordered, categorized list of condition-of-measurement names."""
 
-    conditions: tuple[tuple[str, str], ...]
+    # no ``__slots__ = ()``: ``names``, which measurements share, is cached in __dict__
+    _make = _checked_make
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        names = [name for name, _ in self.conditions]
-        for name in names:
-            _check_str("condition name", name)
-        if len(set(names)) != len(names):
-            raise ValueError("condition names must be unique")
+    def __new__(cls, conditions):
+        self = super().__new__(cls, conditions)
         for name, category in self.conditions:
+            _check_str("condition name", name)
             if category not in CONDITION_CATEGORIES:
                 raise ValueError(f"unknown condition category {category!r}")
+        if len(set(self.names)) != len(self.names):
+            raise ValueError("condition names must be unique")
+        return self
 
     @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.conditions)
 
 
-@dataclass(frozen=True)
-class ConditionValue:
+class ConditionValue(namedtuple("ConditionValue", "label")):
     """A condition value: a Known string label, or Unknown (label None).
 
     Two values *match* only when both are Known with equal labels; Unknown
-    matches nothing, not even another Unknown. Structural (dataclass)
-    equality is intentionally stricter only for round-trip comparisons.
+    matches nothing, not even another Unknown. Tuple equality is
+    intentionally stricter only for round-trip comparisons.
     """
 
-    label: str | None = None
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        if self.label is not None and _label(self.label) is None:
+    def __new__(cls, label=None):
+        if label is not None and _label(label) is None:
             raise ValueError("known condition labels must be non-empty")
+        return super().__new__(cls, label)
 
     @property
     def is_known(self) -> bool:
@@ -142,8 +148,6 @@ class Measurement(namedtuple("Measurement", "object measurand value names labels
     string and ``timestamp`` a ``datetime.date`` or None. ``labels[i]`` is
     the label of condition ``names[i]``, or None for Unknown. Measurements
     built against a schema share its ``names`` tuple.
-
-    A named tuple, built once per row: copy one with ``m._replace(...)``.
     """
 
     __slots__ = ()
@@ -221,20 +225,43 @@ def make_measurement(object_id, measurand_id, value, conditions=None,
 # dataset order.
 DatasetIndex = namedtuple("DatasetIndex", "objects measurands groups")
 
+_DatasetFields = namedtuple("QraDataset", "schema objects measurands measurements")
 
-@dataclass(frozen=True)
+
 class QraDataset:
-    """A condition schema plus declared objects, measurands and measurements."""
+    """A condition schema plus declared objects, measurands and measurements.
 
-    schema: ConditionSchema
-    objects: tuple[ObjectRef, ...]
-    measurands: tuple[Measurand, ...]
-    measurements: tuple[Measurement, ...] = field(default_factory=tuple)
+    Not a tuple: the fields live in ``__dict__``, where perfbench's tracer swaps one.
+    """
+
+    __match_args__ = _DatasetFields._fields
+    __setattr__ = __delattr__ = _immutable
+
+    def __init__(self, schema, objects, measurands, measurements=()):
+        vars(self).update(schema=schema, objects=objects, measurands=measurands,
+                          measurements=measurements)
+
+    def _astuple(self):
+        return _DatasetFields(self.schema, self.objects, self.measurands, self.measurements)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        return repr(self._astuple())
+
+    def _replace(self, **changes):
+        return type(self)(*self._astuple()._replace(**changes))
 
     @cached_property
     def index(self) -> DatasetIndex:
-        """Lookup tables, built on first use. Not a dataclass field, so
-        equality, hashing, ``repr`` and ``dataclasses.replace`` ignore it."""
+        """Lookup tables, built on first use. Not a field, so equality,
+        hashing, ``repr`` and ``_replace`` ignore it."""
         objects, measurands, groups = {}, {}, {}
         for obj in self.objects:
             objects.setdefault(obj.id, obj)

@@ -9,9 +9,10 @@ from __future__ import annotations
 import io as _io
 import csv
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .engine import QraReport
+from .model import _checked_make
 
 NORMALITY_CAVEAT = (
     "Note: confidence statistics assume normally distributed "
@@ -22,13 +23,14 @@ PRECISION_CSV_HEADER = ["object", "measurand", "n", "mean", "stdev",
                         "ci_lo", "ci_hi", "cv_star"]
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    format: str = "text"  # text, markdown, csv, json
+class RenderSpec(namedtuple("RenderSpec", "format")):
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        if self.format not in ("text", "markdown", "csv", "json"):
-            raise ValueError(f"unknown render format {self.format!r}")
+    def __new__(cls, format="text"):
+        if format not in ("text", "markdown", "csv", "json"):
+            raise ValueError(f"unknown render format {format!r}")
+        return super().__new__(cls, format)
 
 
 def _rows(reports):

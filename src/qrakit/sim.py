@@ -7,21 +7,13 @@ mean of s and s* plus the fraction of confidence intervals that cover sigma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidParameters, NonFiniteResult
 from .precision import stdev_ci95, unbiased_stdev
 
 
-@dataclass(frozen=True)
-class SimResult:
-    n: int
-    sigma: float
-    trials: int
-    mean_s: float
-    mean_s_star: float
-    ci_coverage: float
-    seed: int
+SimResult = namedtuple("SimResult", "n sigma trials mean_s mean_s_star ci_coverage seed")
 
 
 def simulate(n: int, sigma: float, trials: int, seed: int) -> SimResult:

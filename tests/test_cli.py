@@ -1,6 +1,5 @@
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -48,9 +47,9 @@ class TestAssess:
     def test_skipped_pair_is_a_note_on_stderr(self, capsys, tmp_path):
         ds = bundled_paper_dataset()
         path = tmp_path / "solo.json"
-        save_dataset(replace(ds, objects=ds.objects + (ObjectRef("solo", "solo"),),
-                             measurements=ds.measurements
-                             + (ds.measurements[0]._replace(object="solo"),)), path)
+        save_dataset(ds._replace(objects=ds.objects + (ObjectRef("solo", "solo"),),
+                                 measurements=ds.measurements
+                                 + (ds.measurements[0]._replace(object="solo"),)), path)
         builtin = run(capsys, "assess", "--input", "builtin")
         assert builtin[2] == ""
         measurand = ds.measurements[0].measurand

@@ -1,4 +1,5 @@
 import datetime
+import inspect
 import pickle
 import random
 
@@ -28,6 +29,7 @@ from qrakit.errors import (
 from qrakit.io import bundled_paper_dataset
 from qrakit.model import (
     ConditionSchema,
+    ConditionValue,
     Measurand,
     Measurement,
     ObjectRef,
@@ -36,6 +38,8 @@ from qrakit.model import (
     group,
     make_measurement,
 )
+from qrakit.render import RenderSpec
+from qrakit.sim import SimResult
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +95,7 @@ class TestConditionDiff:
         assert verdicts["implementation"] == DIFFERS
         assert verdicts["procedure"] == DIFFERS
         assert verdicts["performed_by"] == DIFFERS
+        assert all(report.diff.verdict(name) == verdict for name, verdict in verdicts.items())
 
     def test_identical_rows_all_same(self):
         dataset = tiny_dataset([all_same_row(), all_same_row()])
@@ -415,11 +420,26 @@ def sample_report():
     return run_qra_test(dataset, "A", "M")
 
 
+SAMPLE_SCHEMA = (("lab", "object_condition"), ("team", "measurement_procedure"))
+
 RECORDS = {
     "Measurement": lambda report: report.measurements[1],
     "PrecisionResult": lambda report: report.precision,
     "ConditionDiffMatrix": lambda report: report.diff,
     "QraReport": lambda report: report,
+    "ObjectRef": lambda report: report.object,
+    "Measurand": lambda report: report.measurand,
+    "ConditionSchema": lambda report: ConditionSchema(SAMPLE_SCHEMA),
+    "ConditionValue": lambda report: report.measurements[1].condition("lab"),
+    "RenderSpec": lambda report: RenderSpec("markdown"),
+    "SimResult": lambda report: SimResult(n=5, sigma=2.0, trials=100, mean_s=1.75,
+                                          mean_s_star=1.86, ci_coverage=0.9, seed=1),
+}
+
+# a valid new value of the first field, where "x" is not one
+NEW_FIRST = {
+    "ConditionSchema": (("x", "object_condition"),),
+    "RenderSpec": "json",
 }
 
 # field names in order, and the defaults, of the frozen dataclasses these
@@ -432,6 +452,14 @@ FIELDS = {
     "ConditionDiffMatrix": (("conditions", "rows", "verdicts"), {}),
     "QraReport": (("object", "measurand", "measurements", "diff", "classification",
                    "precision", "excluded"), {"excluded": ()}),
+    "ObjectRef": (("id", "display_name", "description"), {"description": None}),
+    "Measurand": (("id", "display_name", "unit", "scale_min", "scale_max", "value_kind"),
+                  {"scale_min": 0.0, "scale_max": None, "value_kind": "continuous"}),
+    "ConditionSchema": (("conditions",), {}),
+    "ConditionValue": (("label",), {"label": None}),
+    "RenderSpec": (("format",), {"format": "text"}),
+    "SimResult": (("n", "sigma", "trials", "mean_s", "mean_s_star", "ci_coverage", "seed"),
+                  {}),
 }
 
 # repr of the sample records as the frozen dataclasses wrote it
@@ -445,17 +473,27 @@ PRECISION_REPR = (
 DIFF_REPR = (
     "ConditionDiffMatrix(conditions=('lab', 'team'), rows=(('x', 't'), ('y', None)), "
     "verdicts={'lab': 'Differs', 'team': 'HasUnknown'})")
+OBJECT_REPR = "ObjectRef(id='A', display_name='A', description=None)"
+MEASURAND_REPR = ("Measurand(id='M', display_name='M', unit='', scale_min=0.0, "
+                  "scale_max=None, value_kind='continuous')")
 REPRS = {
     "Measurement": MEASUREMENT_REPR,
     "PrecisionResult": PRECISION_REPR,
     "ConditionDiffMatrix": DIFF_REPR,
     "QraReport": (
-        "QraReport(object=ObjectRef(id='A', display_name='A', description=None), "
-        "measurand=Measurand(id='M', display_name='M', unit='', scale_min=0.0, "
-        "scale_max=None, value_kind='continuous'), measurements=(Measurement(object='A', "
-        "measurand='M', value=1.0, names=('lab', 'team'), labels=('x', 't'), source='', "
+        f"QraReport(object={OBJECT_REPR}, measurand={MEASURAND_REPR}, "
+        "measurements=(Measurement(object='A', measurand='M', value=1.0, "
+        "names=('lab', 'team'), labels=('x', 't'), source='', "
         f"timestamp=None), {MEASUREMENT_REPR}), diff={DIFF_REPR}, "
         f"classification='Reproducibility', precision={PRECISION_REPR}, excluded=())"),
+    "ObjectRef": OBJECT_REPR,
+    "Measurand": MEASURAND_REPR,
+    "ConditionSchema": ("ConditionSchema(conditions=(('lab', 'object_condition'), "
+                        "('team', 'measurement_procedure')))"),
+    "ConditionValue": "ConditionValue(label='y')",
+    "RenderSpec": "RenderSpec(format='markdown')",
+    "SimResult": ("SimResult(n=5, sigma=2.0, trials=100, mean_s=1.75, mean_s_star=1.86, "
+                  "ci_coverage=0.9, seed=1)"),
 }
 
 
@@ -464,7 +502,10 @@ class TestRecords:
     def test_fields_and_defaults(self, kind):
         record = RECORDS[kind](sample_report())
         assert type(record).__name__ == kind
-        assert (record._fields, record._field_defaults) == FIELDS[kind]
+        parameters = inspect.signature(type(record)).parameters.values()
+        assert [p.name for p in parameters] == list(record._fields)
+        defaults = {p.name: p.default for p in parameters if p.default is not p.empty}
+        assert (record._fields, defaults) == FIELDS[kind]
 
     def test_immutable(self, kind):
         record = RECORDS[kind](sample_report())
@@ -476,9 +517,10 @@ class TestRecords:
     def test_replace(self, kind):
         record = RECORDS[kind](sample_report())
         first, *rest = record._fields
-        copy = record._replace(**{first: "x"})
+        new = NEW_FIRST.get(kind, "x")
+        copy = record._replace(**{first: new})
         assert type(copy) is type(record)
-        assert getattr(copy, first) == "x" and getattr(record, first) != "x"
+        assert getattr(copy, first) == new and getattr(record, first) != new
         assert [getattr(copy, name) for name in rest] == [getattr(record, name) for name in rest]
 
     def test_equality_and_hash(self, kind):
@@ -498,3 +540,32 @@ class TestRecords:
         record = RECORDS[kind](sample_report())
         copy = pickle.loads(pickle.dumps(record))
         assert type(copy) is type(record) and copy == record
+
+
+@pytest.mark.parametrize("record, changes, error, message", [
+    (Measurand("M", "M", ""), {"scale_min": float("nan")}, ValueError,
+     "measurand 'M': scale_min must be finite, not nan"),
+    (Measurand("M", "M", "", scale_max=7.0), {"scale_min": 7.0}, ValueError,
+     "measurand 'M': scale_max must exceed scale_min"),
+    (Measurand("M", "M", ""), {"unit": 5}, TypeError,
+     "measurand 'M': unit must be a string, not int"),
+    (ObjectRef("A", "A"), {"id": ""}, ValueError, "object id must be non-empty"),
+    (ObjectRef("A", "A"), {"description": 5}, TypeError,
+     "object 'A': description must be a string or null, not int"),
+    (ConditionSchema(SAMPLE_SCHEMA), {"conditions": SAMPLE_SCHEMA * 2}, ValueError,
+     "condition names must be unique"),
+    (ConditionValue("x"), {"label": ""}, ValueError,
+     "known condition labels must be non-empty"),
+    (RenderSpec(), {"format": "xml"}, ValueError, "unknown render format 'xml'"),
+], ids=["Measurand-nan", "Measurand-bounds", "Measurand-unit", "ObjectRef-id",
+        "ObjectRef-description", "ConditionSchema", "ConditionValue", "RenderSpec"])
+def test_replace_reruns_the_checks(record, changes, error, message):
+    with pytest.raises(error) as exc:
+        record._replace(**changes)
+    assert str(exc.value) == message
+
+
+def test_replace_converts_like_the_constructor():
+    m = Measurand("M", "M", "")._replace(scale_max=7)
+    assert m == Measurand("M", "M", "", scale_max=7.0)
+    assert type(m.scale_max) is float

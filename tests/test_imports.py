@@ -1,5 +1,6 @@
 """scipy and numpy stay off every path that does not need them, and the
-CLI's cold path stays off ``typing`` and ``importlib.resources``.
+CLI's cold path stays off ``typing``, ``importlib.resources``, ``dataclasses``
+and ``inspect``.
 
 Each check runs in a fresh interpreter, so modules loaded by other tests
 cannot hide an import; none of them measures time.
@@ -47,14 +48,24 @@ def test_simulate_loads_numpy_only():
     assert modules_after(code) == "['numpy']"
 
 
-@pytest.mark.parametrize("code", [
-    "import qrakit.cli",
-    "import contextlib, io\n"
-    "from qrakit.cli import main\n"
-    "with contextlib.redirect_stdout(io.StringIO()):\n"
-    "    assert main(['assess', '--input', 'builtin']) == 0",
-], ids=["import", "assess-builtin"])
+ASSESS_BUILTIN = ("import contextlib, io\n"
+                  "from qrakit.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    assert main(['assess', '--input', 'builtin']) == 0")
+
+
+@pytest.mark.parametrize("code", ["import qrakit.cli", ASSESS_BUILTIN],
+                         ids=["import", "assess-builtin"])
 def test_cli_loads_neither_typing_nor_importlib_resources(code):
     # -S: no site, whose .pth files may import either module themselves
     names = ("typing", "importlib.resources")
+    assert modules_after(code, names, flags=("-S",)) == "[]"
+
+
+@pytest.mark.parametrize("code", ["import qrakit", "import qrakit.cli", ASSESS_BUILTIN],
+                         ids=["import-qrakit", "import-cli", "assess-builtin"])
+def test_cold_path_loads_neither_dataclasses_nor_inspect(code):
+    # every record is a named tuple; dataclasses would bring inspect, ast, dis
+    # and tokenize onto every cold start
+    names = ("dataclasses", "inspect")
     assert modules_after(code, names, flags=("-S",)) == "[]"

@@ -6,7 +6,6 @@ import json
 import random
 import tempfile
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -496,15 +495,15 @@ class TestSaveErrors:
         save_dataset(ds, path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         if field == "source":  # in the data file
-            bad = replace(ds, measurements=(ds.measurements[0]._replace(source="x\ud800"),)
-                          + ds.measurements[1:])
+            bad = ds._replace(measurements=(ds.measurements[0]._replace(source="x\ud800"),)
+                              + ds.measurements[1:])
         elif field == "last_source":  # in the data file's last block, after 115 others
             monkeypatch.setattr(qrakit.io, "_BLOCK", 1)
-            bad = replace(ds, measurements=ds.measurements[:-1]
-                          + (ds.measurements[-1]._replace(source="x\ud800"),))
+            bad = ds._replace(measurements=ds.measurements[:-1]
+                              + (ds.measurements[-1]._replace(source="x\ud800"),))
         else:  # in the CSV sidecar, which is written after the data file
-            bad = replace(ds, objects=(replace(ds.objects[0], display_name="x\ud800"),)
-                          + ds.objects[1:])
+            bad = ds._replace(objects=(ds.objects[0]._replace(display_name="x\ud800"),)
+                              + ds.objects[1:])
         written = path if field != "display_name" or name == "data.json" else \
             tmp_path / "data.meta.json"
         with pytest.raises(EncodeError) as exc:
@@ -788,7 +787,7 @@ class TestValidateDataset:
              "only one measurement; pair is not assessable (n >= 2 required)"),
         ]
         # names equal to the schema's, in another tuple, validate as built ones
-        rebuilt = replace(dataset, measurements=tuple(
+        rebuilt = dataset._replace(measurements=tuple(
             m._replace(names=schema.names) if m.names is copied else m
             for m in measurements))
         assert validate_dataset(rebuilt) == validate_dataset(dataset)

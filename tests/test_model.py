@@ -1,6 +1,7 @@
-import dataclasses
+import copy
 import datetime
 import math
+import pickle
 import random
 
 import pytest
@@ -57,7 +58,17 @@ class TestDefaultConditionSchema:
     def test_names_are_built_once(self):
         schema = default_condition_schema()
         assert schema.names is schema.names
-        assert "names" not in {f.name for f in dataclasses.fields(ConditionSchema)}
+        assert make_measurement("A", "M", 1.0, schema=schema).names is schema.names
+        assert ConditionSchema._fields == ("conditions",)
+        assert schema == (schema.conditions,)
+
+    def test_names_cannot_be_set(self):
+        schema = default_condition_schema()
+        with pytest.raises(AttributeError):
+            schema.names = ("a",)
+        with pytest.raises(AttributeError):
+            del schema.names
+        assert schema.names == tuple(name for name, _ in schema.conditions)
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
@@ -191,7 +202,7 @@ class TestDeclarationFields:
     def test_integer_bounds_become_floats(self):
         m = Measurand("M", "M", "", scale_min=1, scale_max=7)
         assert (type(m.scale_min), type(m.scale_max)) == (float, float)
-        assert dataclasses.replace(m, scale_max=None).scale_max is None
+        assert m._replace(scale_max=None).scale_max is None
 
     @pytest.mark.parametrize("fields, message", [
         ({"display_name": [1]}, "display_name must be a string, not list"),
@@ -278,7 +289,7 @@ class TestIndex:
     def test_pairs_keep_first_appearance_order_on_shuffled_rows(self, fixture_dataset):
         members = list(fixture_dataset.measurements)
         random.Random(3).shuffle(members)
-        shuffled = dataclasses.replace(fixture_dataset, measurements=tuple(members))
+        shuffled = fixture_dataset._replace(measurements=tuple(members))
         expected = list(dict.fromkeys((m.object, m.measurand) for m in members))
         assert shuffled.pairs() == expected
         assert sorted(shuffled.pairs()) == sorted(fixture_dataset.pairs())
@@ -307,7 +318,7 @@ class TestIndex:
     def test_replace_sees_new_groups(self):
         ds = dataset(rows(("a", "x", 1.0), ("a", "x", 2.0)))
         assert ds.pairs() == [("a", "x")]  # builds the index
-        other = dataclasses.replace(ds, measurements=rows(("b", "y", 4.0)))
+        other = ds._replace(measurements=rows(("b", "y", 4.0)))
         assert other.pairs() == [("b", "y")]
         assert [m.value for m in group(other, "b", "y")] == [4.0]
         with pytest.raises(EmptyGroup):
@@ -321,4 +332,44 @@ class TestIndex:
         assert "index" in vars(built) and "index" not in vars(fresh)
         assert built == fresh
         assert (hash(built), repr(built)) == before == (hash(fresh), repr(fresh))
-        assert "index" not in {f.name for f in dataclasses.fields(QraDataset)}
+        assert repr(built).startswith("QraDataset(schema=ConditionSchema(")
+        assert "index" not in repr(built)
+
+    def test_replace_builds_a_fresh_index(self):
+        ds = dataset(rows(("a", "x", 1.0), ("a", "x", 2.0)))
+        ds.pairs()
+        other = ds._replace()
+        assert other == ds and other is not ds
+        assert "index" not in vars(other)
+        assert other.index is not ds.index and other.index == ds.index
+        with pytest.raises(ValueError):
+            ds._replace(index=None)
+
+    @pytest.mark.parametrize("name", ["schema", "measurements", "index", "other"])
+    def test_fields_cannot_be_set_or_deleted(self, name):
+        ds = dataset(rows(("a", "x", 1.0), ("a", "x", 2.0)))
+        ds.pairs()
+        with pytest.raises(AttributeError):
+            setattr(ds, name, ())
+        with pytest.raises(AttributeError):
+            delattr(ds, name)
+        assert ds.pairs() == [("a", "x")]
+
+    @pytest.mark.parametrize("copier", [lambda ds: pickle.loads(pickle.dumps(ds)),
+                                        copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_copies_are_equal(self, fixture_dataset, copier):
+        copied = copier(fixture_dataset)
+        assert copied == fixture_dataset and copied is not fixture_dataset
+        assert hash(copied) == hash(fixture_dataset)
+        assert copied.pairs() == fixture_dataset.pairs()
+        # measurements still share the schema's names, which validation relies on
+        assert all(m.names is copied.schema.names for m in copied.measurements)
+
+    def test_match_args(self):
+        ds = dataset(rows(("a", "x", 1.0)))
+        match ds:
+            case QraDataset(schema, objects, measurands, measurements):
+                assert (schema, objects, measurands, measurements) == (
+                    ds.schema, ds.objects, ds.measurands, ds.measurements)
+            case _:
+                pytest.fail("a dataset matches by its four fields")

@@ -119,6 +119,16 @@ class TestStdevStderr:
         assert stdev_stderr(0.0, 0.0, 5) == 0.0
 
 
+@pytest.mark.parametrize("call", [
+    lambda: unbiased_stdev(1.0, 1),
+    lambda: stdev_stderr(1.0, 1.0, 1),
+    lambda: stdev_ci95(1.0, 0.5, 1),
+], ids=["unbiased_stdev", "stdev_stderr", "stdev_ci95"])
+def test_single_measurement_rejected(call):
+    with pytest.raises(InvalidSampleSize, match="^need n >= 2, got 1$"):
+        call()
+
+
 class TestTQuantile:
     @pytest.mark.parametrize("df", range(1, 31))
     def test_against_published_table(self, df):

@@ -96,6 +96,11 @@ class TestPrecisionTable:
         with pytest.raises(ValueError):
             RenderSpec(format="pdf")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_no_reports_rejected(self, fmt):
+        with pytest.raises(ValueError, match="^no reports to render$"):
+            render_precision_table([], RenderSpec(format=fmt))
+
 
 class TestConditionMatrix:
     def test_pass_clarity_rows(self, ds):
