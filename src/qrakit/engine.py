@@ -61,7 +61,7 @@ def condition_diff(measurements, schema: ConditionSchema) -> ConditionDiffMatrix
         raise MixedGroup(f"group mixes several (object, measurand) pairs: {sorted(pairs)}")
 
     names = schema.names
-    rows = tuple(m.labels if m.names is names else m.labels_in(names) for m in measurements)
+    rows = tuple(m.labels_in(names) for m in measurements)
     verdicts = {}
     for name, column in zip(names, zip(*rows)):
         if None in column:
@@ -145,13 +145,21 @@ def subgroup_assess(dataset: QraDataset, object_id: str, measurand_id: str,
     the label. ``where``, if given, is an additional callable filter
     Measurement -> bool, for subgroups that equality predicates cannot
     express (e.g. "condition A has the same value as condition B").
-    Excluded measurements are kept on the report for auditability.
+    Excluded measurements are kept on the report for auditability. A
+    condition not in the schema raises EmptyGroup.
     """
     members = group(dataset, object_id, measurand_id)
+    names = dataset.schema.names
+    wanted = []
+    for name, label in predicate:
+        if name not in names:
+            raise EmptyGroup(f"no condition {name!r} in the schema")
+        wanted.append((names.index(name), label))
 
     def selected(m):
-        for name, label in predicate:
-            if label is None or m.label(name) != label:
+        labels = m.labels_in(names)
+        for i, label in wanted:
+            if label is None or labels[i] != label:
                 return False
         return where(m) if where is not None else True
 

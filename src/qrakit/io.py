@@ -51,10 +51,11 @@ def _header_to_obj(dataset: QraDataset) -> dict:
 
 def dataset_to_obj(dataset: QraDataset) -> dict:
     obj = _header_to_obj(dataset)
+    names = dataset.schema.names
     obj["measurements"] = [
         {"object": m.object, "measurand": m.measurand, "value": m.value, "source": m.source,
          "timestamp": m.timestamp.isoformat() if m.timestamp else None,
-         "conditions": {name: m.label(name) for name in m.names}}
+         "conditions": dict(zip(names, m.labels_in(names)))}
         for m in dataset.measurements
     ]
     return obj
@@ -69,16 +70,16 @@ def _header_text(dataset: QraDataset) -> str:
     return json.dumps(_header_to_obj(dataset), indent=2, ensure_ascii=False)
 
 
-def _row_template(keys) -> str:
+def _row_template(names) -> str:
     """One measurement of ``dataset_to_obj`` as ``json.dumps(indent=2)`` lays
     it out in the measurements list, with ``%s`` for each encoded leaf: object,
-    measurand, value, source, timestamp, then one label per key."""
+    measurand, value, source, timestamp, then one label per condition name."""
     conditions = ",\n".join(
-        f"        {json.encoder.encode_basestring(key).replace('%', '%%')}: %s"
-        for key in keys)
+        f"        {json.encoder.encode_basestring(name).replace('%', '%%')}: %s"
+        for name in names)
     return ('    {\n      "object": %s,\n      "measurand": %s,\n      "value": %s,\n'
             '      "source": %s,\n      "timestamp": %s,\n      "conditions": '
-            + ("{\n" + conditions + "\n      }" if keys else "{}") + "\n    }")
+            + ("{\n" + conditions + "\n      }" if names else "{}") + "\n    }")
 
 
 # measurements built, encoded and held as text at a time by the writers; a
@@ -96,22 +97,16 @@ def _dataset_to_json(dataset: QraDataset):
     json's C encoder encodes in one call, then the closing text."""
     # the header's text ends in "\n}"; the measurements go before it
     yield f'{_header_text(dataset)[:-2]},\n  "measurements": ['
-    templates, separator = {}, "\n"
+    names = dataset.schema.names
+    template, separator = _row_template(names), "\n"
     for block in _blocks(dataset.measurements):
-        leaves, rows = [], []
+        leaves = []
         for m in block:
-            names = m.names
-            entry = templates.get(names)
-            if entry is None:
-                # a repeated name keeps its first place and, by labels_in, its first label
-                keys = tuple(dict.fromkeys(names))
-                entry = templates[names] = (_row_template(keys), keys)
-            template, keys = entry
-            rows.append(template)
             leaves += (m.object, m.measurand, m.value, m.source,
                        m.timestamp.isoformat() if m.timestamp else None)
-            leaves += m.labels_in(keys)
-        yield separator + ",\n".join(rows) % tuple(_encode_lines(leaves)[1:-1].split("\n"))
+            leaves += m.labels_in(names)
+        yield (separator + ",\n".join([template] * len(block))
+               % tuple(_encode_lines(leaves)[1:-1].split("\n")))
         separator = ",\n"
     yield "\n  ]\n}\n" if dataset.measurements else "]\n}\n"
 

@@ -95,7 +95,8 @@ class ConditionSchema(namedtuple("ConditionSchema", "conditions")):
     __setattr__ = __delattr__ = _immutable
 
     def __new__(cls, conditions):
-        self = super().__new__(cls, conditions)
+        # a tuple of pairs, however given, so that the schema hashes
+        self = super().__new__(cls, tuple((name, category) for name, category in conditions))
         for name, category in self.conditions:
             _check_str("condition name", name)
             if category not in CONDITION_CATEGORIES:
@@ -107,6 +108,19 @@ class ConditionSchema(namedtuple("ConditionSchema", "conditions")):
     @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.conditions)
+
+
+def _label(raw) -> str | None:
+    """The label a measurement holds for ``raw``: a string, or None for
+    Unknown (None, "" or UNKNOWN). Any other type is refused."""
+    if isinstance(raw, ConditionValue):
+        raw = raw.label
+    if raw is None:
+        return None
+    if not isinstance(raw, str):
+        raise TypeError(f"condition label must be a string or null, not {type(raw).__name__}")
+    # one string object per distinct label across a loaded dataset
+    return sys.intern(str(raw)) if raw else None
 
 
 class ConditionValue(namedtuple("ConditionValue", "label")):
@@ -121,9 +135,10 @@ class ConditionValue(namedtuple("ConditionValue", "label")):
     _make = _checked_make
 
     def __new__(cls, label=None):
-        if label is not None and _label(label) is None:
+        stored = _label(label)  # the label of a ConditionValue, interned
+        if stored is None and label == "":
             raise ValueError("known condition labels must be non-empty")
-        return super().__new__(cls, label)
+        return super().__new__(cls, stored)
 
     @property
     def is_known(self) -> bool:
@@ -160,7 +175,8 @@ class Measurement(namedtuple("Measurement", "object measurand value names labels
             return None
 
     def labels_in(self, names: tuple[str, ...]) -> tuple[str | None, ...]:
-        """One label per name of ``names``, in that order."""
+        """One label per name of ``names``, in that order. The engine, subgroup
+        filters and both writers read a row through this with the schema's names."""
         if self.names == names:
             return self.labels
         return tuple(map(self.label, names))
@@ -168,19 +184,6 @@ class Measurement(namedtuple("Measurement", "object measurand value names labels
     def condition(self, name: str) -> ConditionValue:
         label = self.label(name)
         return UNKNOWN if label is None else ConditionValue(label)
-
-
-def _label(raw) -> str | None:
-    """The label a measurement holds for ``raw``: a string, or None for
-    Unknown (None, "" or UNKNOWN). Any other type is refused."""
-    if isinstance(raw, ConditionValue):
-        raw = raw.label
-    if raw is None:
-        return None
-    if not isinstance(raw, str):
-        raise TypeError(f"condition label must be a string or null, not {type(raw).__name__}")
-    # one string object per distinct label across a loaded dataset
-    return sys.intern(str(raw)) if raw else None
 
 
 def _measurement(object_id, measurand_id, value, names, labels, source, timestamp):
@@ -257,6 +260,10 @@ class QraDataset:
 
     def _replace(self, **changes):
         return type(self)(*self._astuple()._replace(**changes))
+
+    def __reduce__(self):
+        # the four fields only: a copy builds its own index when first used
+        return type(self), tuple(self._astuple())
 
     @cached_property
     def index(self) -> DatasetIndex:

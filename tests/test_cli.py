@@ -114,6 +114,15 @@ class TestSubgroup:
         assert code == 0
         assert subgroup_out == assess_out
 
+    def test_condition_outside_the_schema_exits_1(self, capsys):
+        where = ("--measurand", "BLEU", "--where", "cond.typo=x")
+        code, out, err = run(capsys, "subgroup", "--input", "builtin",
+                             "--object", "NTS_def", *where)
+        assert (code, out, err) == (1, "", "error: no condition 'typo' in the schema\n")
+        # the object and measurand are checked first
+        code, _, err = run(capsys, "subgroup", "--input", "builtin", "--object", "nobody", *where)
+        assert (code, err) == (1, "error: undeclared object 'nobody'\n")
+
     def test_malformed_where_exits_2(self, capsys):
         code, _, err = run(
             capsys, "subgroup", "--input", "builtin",

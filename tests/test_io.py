@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qrakit.io
-from qrakit.engine import condition_diff
-from qrakit.errors import EncodeError, ParseError, SchemaError, ValidationError
+from qrakit.engine import condition_diff, subgroup_assess
+from qrakit.errors import EmptyGroup, EncodeError, ParseError, SchemaError, ValidationError
 from qrakit.io import (
     _dataset_to_csv,
     _dataset_to_json,
@@ -77,6 +77,28 @@ class TestBundledDataset:
         assert ds.measurand_by_id("wF1").scale_min == 0.0
 
 
+# The names and labels of two rows of one pair whose condition names are not
+# the schema's ("a", "b"): each row counts the schema's names alone, and the
+# first entry of a repeated name. A third row is built against the schema.
+OFF_SCHEMA_ROWS = {
+    "subset": ((("a",), ("x",)), (("a",), ("x",))),
+    "superset": ((("a", "b", "c"), ("x", "u", "1")), (("a", "b", "c"), ("x", "v", "2"))),
+    "reordered": ((("b", "a"), ("u", "x")), (("b", "a"), ("v", "x"))),
+    "repeated": ((("a", "b", "a"), ("x", "u", "y")), (("a", "a", "b"), ("x", "z", "u"))),
+}
+
+
+def off_schema_dataset(shape):
+    schema = ConditionSchema(conditions=(("a", OBJECT_CONDITION),
+                                         ("b", MEASUREMENT_PROCEDURE)))
+    rows = tuple(Measurement("A", "M", value, names, labels)
+                 for value, (names, labels) in zip((1.0, 2.0), OFF_SCHEMA_ROWS[shape]))
+    return QraDataset(
+        schema=schema, objects=(ObjectRef("A", "A"),), measurands=(Measurand("M", "M", ""),),
+        measurements=rows + (make_measurement("A", "M", 4.0, {"a": "x", "b": "w"},
+                                              schema=schema),))
+
+
 class TestRoundTrip:
     def test_json(self, ds, tmp_path):
         path = tmp_path / "data.json"
@@ -93,21 +115,30 @@ class TestRoundTrip:
         assert dataset_from_obj(dataset_to_obj(ds)) == ds
 
     @pytest.mark.parametrize("name", ["data.json", "data.csv"])
-    def test_repeated_condition_name_reloads_as_assessed(self, tmp_path, name):
-        # the first entry of a repeated name counts, in the engine and in both writers
-        schema = ConditionSchema(conditions=(("a", OBJECT_CONDITION),
-                                             ("b", MEASUREMENT_PROCEDURE)))
-        dataset = QraDataset(
-            schema=schema, objects=(ObjectRef("A", "A"),),
-            measurands=(Measurand("M", "M", ""),), measurements=(
-                Measurement("A", "M", 1.0, ("a", "b", "a"), ("x", "u", "y")),
-                Measurement("A", "M", 2.0, ("a", "a", "b"), ("x", "z", "u")),
-            ))
+    @pytest.mark.parametrize("shape", OFF_SCHEMA_ROWS)
+    def test_rows_off_the_schema_reload_as_assessed(self, tmp_path, shape, name):
+        dataset = off_schema_dataset(shape)
         path = tmp_path / name
         save_dataset(dataset, path)
         loaded = load_dataset(path)
         assert (condition_diff(loaded.measurements, loaded.schema)
-                == condition_diff(dataset.measurements, schema))
+                == condition_diff(dataset.measurements, dataset.schema))
+
+    @pytest.mark.parametrize("shape", OFF_SCHEMA_ROWS)
+    def test_rows_off_the_schema_save_as_they_reload(self, tmp_path, shape):
+        dataset = off_schema_dataset(shape)
+        save_dataset(dataset, tmp_path / "first.json")
+        loaded = load_dataset(tmp_path / "first.json")
+        save_dataset(loaded, tmp_path / "second.json")
+        assert ((tmp_path / "first.json").read_bytes()
+                == (tmp_path / "second.json").read_bytes())
+        save_dataset(dataset, tmp_path / "data.csv")
+        assert load_dataset(tmp_path / "data.csv") == loaded
+
+    @pytest.mark.parametrize("shape", OFF_SCHEMA_ROWS)
+    def test_subgroups_filter_on_the_schema_only(self, shape):
+        with pytest.raises(EmptyGroup, match="^no condition 'c' in the schema$"):
+            subgroup_assess(off_schema_dataset(shape), "A", "M", [("c", "1")])
 
     def test_null_source_reads_as_empty(self, ds, tmp_path):
         obj = dataset_to_obj(ds)

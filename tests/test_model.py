@@ -70,6 +70,15 @@ class TestDefaultConditionSchema:
             del schema.names
         assert schema.names == tuple(name for name, _ in schema.conditions)
 
+    def test_a_list_is_frozen_to_a_tuple_of_pairs(self):
+        built = ConditionSchema([["a", "object_condition"], ("b", "measurement_method")])
+        conditions = (("a", "object_condition"), ("b", "measurement_method"))
+        assert built.conditions == conditions and type(built.conditions) is tuple
+        assert all(type(pair) is tuple for pair in built.conditions)
+        schema = ConditionSchema(conditions)
+        assert built == schema and hash(built) == hash(schema)
+        assert hash(QraDataset(built, (), ())) == hash(QraDataset(schema, (), ()))
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             ConditionSchema(conditions=(
@@ -107,6 +116,17 @@ class TestConditionValue:
     def test_empty_label_rejected(self):
         with pytest.raises(ValueError):
             ConditionValue("")
+
+    def test_a_value_wraps_as_itself(self):
+        wrapped = ConditionValue(known("x"))
+        assert wrapped == known("x") and repr(wrapped) == "ConditionValue(label='x')"
+        assert wrapped.matches(known("x"))
+        assert ConditionValue(UNKNOWN) == UNKNOWN
+        m = make_measurement("A", "M", 1.0, {"a": wrapped})
+        assert m.labels == ("x",)
+
+    def test_label_is_interned(self):
+        assert ConditionValue("".join(["w", "mt"])).label is known("wmt").label
 
     def test_non_string_label_rejected(self):
         with pytest.raises(TypeError, match="^condition label must be a string or null, "
@@ -358,8 +378,10 @@ class TestIndex:
     @pytest.mark.parametrize("copier", [lambda ds: pickle.loads(pickle.dumps(ds)),
                                         copy.deepcopy], ids=["pickle", "deepcopy"])
     def test_copies_are_equal(self, fixture_dataset, copier):
+        fixture_dataset.pairs()  # builds the index, which a copy does not carry
         copied = copier(fixture_dataset)
         assert copied == fixture_dataset and copied is not fixture_dataset
+        assert "index" not in vars(copied)
         assert hash(copied) == hash(fixture_dataset)
         assert copied.pairs() == fixture_dataset.pairs()
         # measurements still share the schema's names, which validation relies on
