@@ -84,7 +84,7 @@ def _parse_where(entries):
         if not sep or not name.startswith("cond.") or not label:
             raise InvalidParameters(
                 f"--where must look like cond.<name>=<label>, got {entry!r}")
-        predicate.append((name[len("cond."):], label.strip("\"'")))
+        predicate.append((name[len("cond."):], label))
     return predicate
 
 

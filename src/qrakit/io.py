@@ -20,10 +20,10 @@ from .errors import EncodeError, ParseError, QraError, SchemaError, ValidationEr
 from .model import (
     ConditionSchema,
     Measurand,
+    Measurement,
     ObjectRef,
     QraDataset,
     _label,
-    _measurement,
     default_condition_schema,
     validate_dataset,
 )
@@ -213,7 +213,7 @@ def _header_from_obj(obj: dict, where: str):
 
 
 def _measurements(rows, schema: ConditionSchema, where) -> tuple:
-    """One ``_measurement`` per row of ``(object, measurand, value, source,
+    """One ``Measurement`` per row of ``(object, measurand, value, source,
     timestamp, raw_labels)``, one raw label per schema condition and the timestamp
     ISO text, or None or "" for none; errors start with ``where(n)`` for row n, from 1."""
     names = schema.names
@@ -229,8 +229,8 @@ def _measurements(rows, schema: ConditionSchema, where) -> tuple:
             except (KeyError, TypeError):  # a new label, or an unhashable raw
                 labels = tuple(map(_label, raw))
                 memo.update(zip(raw, labels))
-            measurements.append(_measurement(obj, measurand, value, names, labels,
-                                             source, ts))
+            measurements.append(Measurement(obj, measurand, value, names, labels,
+                                            source, ts))
     except _FIELD_ERRORS as exc:
         raise _field_error(where(len(measurements) + 1), exc) from exc
     return tuple(measurements)
@@ -398,6 +398,7 @@ def _read_dataset(path, fmt: str = "auto") -> QraDataset:
 
 def load_dataset(path, fmt: str = "auto") -> QraDataset:
     """Load and validate a dataset; raises on parse or validation errors."""
+    path = Path(path)  # every error names the file as the parse errors do
     return _validated(_read_dataset(path, fmt), f"{path}: ")
 
 

@@ -1,7 +1,7 @@
 """Domain types: measurands, objects, conditions of measurement, datasets.
 
-Also the rules of a valid dataset: the declarations check their own fields,
-``_measurement`` defines a valid row and ``validate_dataset`` checks the
+Also the rules of a valid dataset: the declarations and ``Measurement`` check
+their own fields, however they are built, and ``validate_dataset`` checks the
 dataset as a whole. All types are immutable once a dataset is assembled, so
 datasets can be shared freely between concurrent readers.
 """
@@ -156,16 +156,33 @@ def known(label: str) -> ConditionValue:
 
 
 class Measurement(namedtuple("Measurement", "object measurand value names labels "
-                             "source timestamp", defaults=("", None))):
-    """One measured quantity value for an (object, measurand) pair.
-
-    ``object`` and ``measurand`` are ids, ``value`` a float, ``source`` a
-    string and ``timestamp`` a ``datetime.date`` or None. ``labels[i]`` is
-    the label of condition ``names[i]``, or None for Unknown. Measurements
-    built against a schema share its ``names`` tuple.
+                             "source timestamp")):
+    """One measured quantity value for an (object, measurand) pair, checked as
+    every row is: ``object`` and ``measurand`` are non-empty ids, ``value`` a
+    number (not a bool or a str) stored as a float, ``source`` a string or None
+    (read as "") and ``timestamp`` a ``datetime.date`` or None. ``labels[i]``,
+    as ``_label`` makes it (None for Unknown), labels condition ``names[i]``; both
+    are stored as tuples of equal length, sharing a schema's ``names`` tuple.
     """
 
     __slots__ = ()
+    _make = _checked_make
+
+    def __new__(cls, object, measurand, value, names, labels, source="", timestamp=None):
+        _check_str("object id", object)
+        _check_str("measurand id", measurand)
+        value = _number("value", value)
+        names, labels = tuple(names), tuple(labels)  # a tuple is kept as it is
+        if len(labels) != len(names):
+            raise ValueError(f"{len(labels)} labels for {len(names)} condition names")
+        if source is None:
+            source = ""
+        elif not isinstance(source, str):
+            raise TypeError(f"source must be a string or null, not {type(source).__name__}")
+        if timestamp is not None and not isinstance(timestamp, date):
+            raise TypeError(f"timestamp must be a date or None, not {type(timestamp).__name__}")
+        # tuple.__new__, not the namedtuple's: one Python call per row a reader builds
+        return tuple.__new__(cls, (object, measurand, value, names, labels, source, timestamp))
 
     def label(self, name: str) -> str | None:
         """The label of the first entry for ``name``; None when it has none."""
@@ -186,23 +203,6 @@ class Measurement(namedtuple("Measurement", "object measurand value names labels
         return UNKNOWN if label is None else ConditionValue(label)
 
 
-def _measurement(object_id, measurand_id, value, names, labels, source, timestamp):
-    """The one definition of a valid row: ids are non-empty strings, ``value``
-    a number (not a bool or a str), ``source`` a string or None (read as "")
-    and ``timestamp`` a ``datetime.date`` or None. ``labels`` holds one label
-    per name of ``names``, as ``_label`` makes them."""
-    _check_str("object id", object_id)
-    _check_str("measurand id", measurand_id)
-    value = _number("value", value)
-    if source is None:
-        source = ""
-    elif not isinstance(source, str):
-        raise TypeError(f"source must be a string or null, not {type(source).__name__}")
-    if timestamp is not None and not isinstance(timestamp, date):
-        raise TypeError(f"timestamp must be a date or None, not {type(timestamp).__name__}")
-    return Measurement(object_id, measurand_id, value, names, labels, source, timestamp)
-
-
 def make_measurement(object_id, measurand_id, value, conditions=None,
                      source="", timestamp=None, schema=None):
     """Build a Measurement from a plain dict of condition labels.
@@ -210,7 +210,7 @@ def make_measurement(object_id, measurand_id, value, conditions=None,
     ``conditions`` maps condition name -> label (a ConditionValue, or None,
     "" or missing for Unknown). When a schema is given, the measurement has
     one label per schema condition, in schema order. The other fields follow
-    ``_measurement``'s rule: a ``value`` of ``"5"`` raises TypeError.
+    ``Measurement``'s rule: a ``value`` of ``"5"`` raises TypeError.
     """
     conditions = conditions or {}
     if schema is not None:
@@ -220,7 +220,7 @@ def make_measurement(object_id, measurand_id, value, conditions=None,
         for name in names:
             _check_str("condition name", name)
     labels = tuple(_label(conditions.get(name)) for name in names)
-    return _measurement(object_id, measurand_id, value, names, labels, source, timestamp)
+    return Measurement(object_id, measurand_id, value, names, labels, source, timestamp)
 
 
 # Declarations by id (the first of duplicate ids wins) and measurements by

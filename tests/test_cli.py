@@ -6,8 +6,10 @@ import pytest
 
 from qrakit import errors
 from qrakit.cli import main
-from qrakit.io import bundled_paper_dataset, save_dataset, validate_dataset
+from qrakit.engine import subgroup_assess
+from qrakit.io import bundled_paper_dataset, load_dataset, save_dataset, validate_dataset
 from qrakit.model import ObjectRef
+from qrakit.render import RenderSpec, render_precision_table
 from qrakit.sim import simulate
 
 
@@ -123,6 +125,19 @@ class TestSubgroup:
         code, _, err = run(capsys, "subgroup", "--input", "builtin", "--object", "nobody", *where)
         assert (code, err) == (1, "error: undeclared object 'nobody'\n")
 
+    @pytest.mark.parametrize("label", ['team "B"', "'quoted'"])
+    def test_where_takes_the_label_verbatim(self, capsys, tmp_path, label):
+        path = tmp_path / "teams.csv"
+        path.write_text("object,measurand,value,cond.team\n"
+                        + "".join(f"A,M,{v},{cell}\n" for v, cell in
+                                  ((1.0, '"team ""B"""'), (2.0, "'quoted'"), (3.0, "C"),
+                                   (4.0, '"team ""B"""'), (5.0, "'quoted'"))))
+        report = subgroup_assess(load_dataset(path), "A", "M", [("team", label)])
+        assert report.precision.n == 2
+        assert run(capsys, "subgroup", "--input", str(path), "--object", "A",
+                   "--measurand", "M", "--where", f"cond.team={label}") == (
+            0, render_precision_table([report], RenderSpec()), "")
+
     def test_malformed_where_exits_2(self, capsys):
         code, _, err = run(
             capsys, "subgroup", "--input", "builtin",
@@ -211,6 +226,12 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", "--input", source)
         assert code == 0 and out.startswith("ok: 116 measurements")
         assert len(calls) == 1
+
+    def test_explicit_format(self, capsys, tmp_path):
+        save_dataset(bundled_paper_dataset(), tmp_path / "data.txt", fmt="csv")
+        code, out, _ = run(capsys, "validate", "--input", str(tmp_path / "data.txt"),
+                           "--format", "csv")
+        assert (code, out) == (0, "ok: 116 measurements, 18 (object, measurand) pairs\n")
 
 
 class TestBadInput:
@@ -363,6 +384,16 @@ class TestBadInput:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {path}: measurement 1 (A, M): ")
         assert len(err.splitlines()) == 1
+
+    def test_parse_and_validation_errors_name_the_file_alike(self, capsys, monkeypatch,
+                                                              tmp_path):
+        monkeypatch.chdir(tmp_path)
+        Path("parse_bad.csv").write_text("object,measurand,value\nA,M,x\nA,M,1\n")
+        Path("valid_bad.csv").write_text("object,measurand,value\nA,M,-5\nA,M,1\n")
+        _, _, parse_err = run(capsys, "assess", "--input", "./parse_bad.csv")
+        _, _, valid_err = run(capsys, "assess", "--input", "./valid_bad.csv")
+        assert parse_err.startswith("error: parse_bad.csv:2: ")
+        assert valid_err.startswith("error: valid_bad.csv: measurement 1 (A, M): ")
 
     def test_bad_csv_timestamp(self, capsys, tmp_path):
         path = tmp_path / "dated.csv"

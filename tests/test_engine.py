@@ -542,6 +542,9 @@ class TestRecords:
         assert type(copy) is type(record) and copy == record
 
 
+ROW = Measurement("A", "M", 1.0, ("a", "b"), ("x", None))
+
+
 @pytest.mark.parametrize("record, changes, error, message", [
     (Measurand("M", "M", ""), {"scale_min": float("nan")}, ValueError,
      "measurand 'M': scale_min must be finite, not nan"),
@@ -557,15 +560,34 @@ class TestRecords:
     (ConditionValue("x"), {"label": ""}, ValueError,
      "known condition labels must be non-empty"),
     (RenderSpec(), {"format": "xml"}, ValueError, "unknown render format 'xml'"),
+    (ROW, {"value": "5"}, TypeError, "value must be a number, not str"),
+    (ROW, {"value": True}, TypeError, "value must be a number, not bool"),
+    (ROW, {"object": ""}, ValueError, "object id must be non-empty"),
+    (ROW, {"source": 5}, TypeError, "source must be a string or null, not int"),
+    (ROW, {"timestamp": "2022-01-01"}, TypeError, "timestamp must be a date or None, not str"),
+    (ROW, {"labels": ("x",)}, ValueError, "1 labels for 2 condition names"),
 ], ids=["Measurand-nan", "Measurand-bounds", "Measurand-unit", "ObjectRef-id",
-        "ObjectRef-description", "ConditionSchema", "ConditionValue", "RenderSpec"])
+        "ObjectRef-description", "ConditionSchema", "ConditionValue", "RenderSpec",
+        "Measurement-value-str", "Measurement-value-bool", "Measurement-object",
+        "Measurement-source", "Measurement-timestamp", "Measurement-labels"])
 def test_replace_reruns_the_checks(record, changes, error, message):
-    with pytest.raises(error) as exc:
-        record._replace(**changes)
-    assert str(exc.value) == message
+    fields = {**record._asdict(), **changes}
+    for build in (lambda: record._replace(**changes), lambda: type(record)(**fields),
+                  lambda: type(record)._make(fields.values())):
+        with pytest.raises(error) as exc:
+            build()
+        assert str(exc.value) == message
 
 
 def test_replace_converts_like_the_constructor():
-    m = Measurand("M", "M", "")._replace(scale_max=7)
-    assert m == Measurand("M", "M", "", scale_max=7.0)
-    assert type(m.scale_max) is float
+    for record, changes, converted in [
+        (Measurand("M", "M", ""), {"scale_max": 7}, {"scale_max": 7.0}),
+        (ROW, {"value": 2}, {"value": 2.0}),
+        (ROW, {"names": ["a"], "labels": ["x"]}, {"names": ("a",), "labels": ("x",)}),
+    ]:
+        copy = record._replace(**changes)
+        assert copy == type(record)(**{**record._asdict(), **changes})
+        assert copy == record._replace(**converted)
+        for name, value in converted.items():
+            assert type(getattr(copy, name)) is type(value)
+        assert hash(copy) == hash(record._replace(**converted))

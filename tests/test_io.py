@@ -111,6 +111,13 @@ class TestRoundTrip:
         assert (tmp_path / "data.meta.json").exists()
         assert load_dataset(path) == ds
 
+    @pytest.mark.parametrize("name, fmt, sidecar", [("data.txt", "csv", "data.meta.json"),
+                                                    ("data.dat", "json", None)])
+    def test_explicit_format(self, ds, tmp_path, name, fmt, sidecar):
+        save_dataset(ds, tmp_path / name, fmt=fmt)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(filter(None, (name, sidecar)))
+        assert load_dataset(tmp_path / name, fmt=fmt) == ds
+
     def test_obj_round_trip(self, ds):
         assert dataset_from_obj(dataset_to_obj(ds)) == ds
 

@@ -350,7 +350,7 @@ class TestIndex:
         before = (hash(built), repr(built))
         built.pairs()
         assert "index" in vars(built) and "index" not in vars(fresh)
-        assert built == fresh
+        assert built == fresh and built != built._astuple()
         assert (hash(built), repr(built)) == before == (hash(fresh), repr(fresh))
         assert repr(built).startswith("QraDataset(schema=ConditionSchema(")
         assert "index" not in repr(built)
