@@ -21,7 +21,7 @@ from .io import (
     load_dataset,
 )
 from .model import validate_dataset
-from .render import RenderSpec, render_condition_matrix, render_precision_table
+from .render import FORMATS, RenderSpec, render_condition_matrix, render_precision_table
 from .sim import simulate
 
 
@@ -119,7 +119,7 @@ def _add_dataset_args(parser):
 
 
 def _add_output_args(parser):
-    parser.add_argument("--render", choices=("text", "markdown", "csv", "json"),
+    parser.add_argument("--render", choices=FORMATS,
                         default="text", help="output document format")
     parser.add_argument("--out", help="write output to this file instead of stdout")
     parser.add_argument("--conditions", action="store_true",

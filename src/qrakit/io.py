@@ -186,6 +186,12 @@ def _entries(obj: dict, key: str, where: str) -> list:
     return entries
 
 
+def _declaration(cls, entry: dict, **file_defaults):
+    """``cls`` from the fields ``entry`` names, then ``file_defaults``, then the
+    constructor's own defaults; other keys are ignored."""
+    return cls(**{**file_defaults, **{k: entry[k] for k in cls._fields if k in entry}})
+
+
 def _header_from_obj(obj: dict, where: str):
     """The schema, objects and measurands of a JSON dataset or CSV sidecar;
     errors start with ``where``."""
@@ -196,17 +202,10 @@ def _header_from_obj(obj: dict, where: str):
             (c["name"], c["category"])
             for c in _entries(obj["schema"], "conditions", where)
         ))
-        objects = tuple(
-            ObjectRef(id=o["id"], display_name=o.get("display_name", o["id"]),
-                      description=o.get("description"))
-            for o in _entries(obj, "objects", where)
-        )
-        measurands = tuple(
-            Measurand(id=m["id"], display_name=m.get("display_name", m["id"]),
-                      unit=m.get("unit", ""), scale_min=m.get("scale_min", 0.0),
-                      scale_max=m.get("scale_max"), value_kind=m.get("value_kind", "continuous"))
-            for m in _entries(obj, "measurands", where)
-        )
+        objects = tuple(_declaration(ObjectRef, o, display_name=o["id"])
+                        for o in _entries(obj, "objects", where))
+        measurands = tuple(_declaration(Measurand, m, display_name=m["id"], unit="")
+                           for m in _entries(obj, "measurands", where))
     except _FIELD_ERRORS as exc:
         raise _field_error(where, exc) from exc
     return schema, objects, measurands

@@ -241,6 +241,10 @@ class QraDataset:
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, schema, objects, measurands, measurements=()):
+        # any other iterable is stored as a tuple; a tuple, a subclass too, as itself
+        objects, measurands, measurements = (
+            seq if isinstance(seq, tuple) else tuple(seq)
+            for seq in (objects, measurands, measurements))
         vars(self).update(schema=schema, objects=objects, measurands=measurands,
                           measurements=measurements)
 
@@ -343,6 +347,10 @@ def validate_dataset(dataset: QraDataset):
             err(loc, f"value {m.value} below scale minimum {lo}")
         elif m.value > hi:
             err(loc, f"value {m.value} above scale maximum {hi}")
+        odd = [type(name).__name__ for name in m.names if not isinstance(name, str)]
+        if odd:
+            err(loc, f"condition name must be a string, not {odd[0]}")
+            continue
         missing = schema_names.difference(m.names)
         if missing:
             warn(loc, f"no entry for conditions {sorted(missing)}; treated as Unknown")

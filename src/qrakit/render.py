@@ -22,13 +22,15 @@ NORMALITY_CAVEAT = (
 PRECISION_CSV_HEADER = ["object", "measurand", "n", "mean", "stdev",
                         "ci_lo", "ci_hi", "cv_star"]
 
+FORMATS = ("text", "markdown", "csv", "json")
+
 
 class RenderSpec(namedtuple("RenderSpec", "format")):
     __slots__ = ()
     _make = _checked_make
 
     def __new__(cls, format="text"):
-        if format not in ("text", "markdown", "csv", "json"):
+        if format not in FORMATS:
             raise ValueError(f"unknown render format {format!r}")
         return super().__new__(cls, format)
 
@@ -79,18 +81,18 @@ def _markdown_table(header, rows):
     return lines
 
 
+def _document(spec: RenderSpec, before, header, rows, after) -> str:
+    """A text or markdown document: the lines before the table, the table, the lines after."""
+    table = _text_table if spec.format == "text" else _markdown_table
+    return "\n".join([*before, *table(header, rows), *after]) + "\n"
+
+
 def render_precision_table(reports, spec: RenderSpec = RenderSpec()) -> str:
     """One row per report: sample, de-biased stdev with CI, and CV*."""
     if not reports:
         raise ValueError("no reports to render")
-    rows = _rows(reports)
-
-    if spec.format == "csv":
-        return _csv_table([PRECISION_CSV_HEADER,
-                           *(row[:2] + row[3:] for row in rows)])  # no values
-
     if spec.format == "json":
-        doc = {
+        return json.dumps({
             "results": [
                 {
                     "object": r.object.id,
@@ -109,14 +111,15 @@ def render_precision_table(reports, spec: RenderSpec = RenderSpec()) -> str:
                 for r in reports
             ],
             "caveats": [NORMALITY_CAVEAT],
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        }, indent=2) + "\n"
 
-    table = _text_table if spec.format == "text" else _markdown_table
-    lines = table(_TABLE_HEADER, [row[:6] + [f"[{row[6]}, {row[7]}]", row[8]]
-                                  for row in rows])
-    lines += ["", NORMALITY_CAVEAT]
-    return "\n".join(lines) + "\n"
+    rows = _rows(reports)
+    if spec.format == "csv":
+        return _csv_table([PRECISION_CSV_HEADER,
+                           *(row[:2] + row[3:] for row in rows)])  # no values
+    return _document(spec, [], _TABLE_HEADER,
+                     [row[:6] + [f"[{row[6]}, {row[7]}]", row[8]] for row in rows],
+                     ["", NORMALITY_CAVEAT])
 
 
 def render_condition_matrix(report: QraReport,
@@ -125,37 +128,28 @@ def render_condition_matrix(report: QraReport,
 
     A footer lists the per-condition verdicts and the test classification.
     """
-    header = ["value"] + list(report.diff.conditions)
-    rows = []
-    for m, row in zip(report.measurements, report.diff.rows):
-        rows.append([str(m.value)] + ["?" if label is None else label
-                                      for label in row])
-    verdict_line = "verdicts: " + ", ".join(
-        f"{name}={report.diff.verdicts[name]}" for name in report.diff.conditions
-    )
-    class_line = f"classification: {report.classification}"
-
+    conditions = report.diff.conditions
     if spec.format == "json":
-        doc = {
+        return json.dumps({
             "object": report.object.id,
             "measurand": report.measurand.id,
-            "conditions": list(report.diff.conditions),
+            "conditions": list(conditions),
             "rows": [
-                {"value": m.value,
-                 "conditions": dict(zip(report.diff.conditions, row))}
+                {"value": m.value, "conditions": dict(zip(conditions, row))}
                 for m, row in zip(report.measurements, report.diff.rows)
             ],
             "verdicts": dict(report.diff.verdicts),
             "classification": report.classification,
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        }, indent=2) + "\n"
 
+    header = ["value", *conditions]
+    rows = [[str(m.value)] + ["?" if label is None else label for label in row]
+            for m, row in zip(report.measurements, report.diff.rows)]
+    verdicts = [report.diff.verdicts[name] for name in conditions]
+    class_line = f"classification: {report.classification}"
     if spec.format == "csv":
-        verdicts = ["verdict"] + [report.diff.verdicts[name]
-                                  for name in report.diff.conditions]
-        return _csv_table([header, *rows, verdicts]) + class_line + "\n"
-
-    table = _text_table if spec.format == "text" else _markdown_table
-    title = f"{report.object.id} / {report.measurand.id}"
-    lines = [title] + table(header, rows) + [verdict_line, class_line]
-    return "\n".join(lines) + "\n"
+        return _csv_table([header, *rows, ["verdict", *verdicts]]) + class_line + "\n"
+    verdict_line = "verdicts: " + ", ".join(
+        f"{name}={verdict}" for name, verdict in zip(conditions, verdicts))
+    return _document(spec, [f"{report.object.id} / {report.measurand.id}"], header, rows,
+                     [verdict_line, class_line])

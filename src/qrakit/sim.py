@@ -39,7 +39,10 @@ def simulate(n: int, sigma: float, trials: int, seed: int) -> SimResult:
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    samples = rng.normal(10.0, 1.0, size=(trials, n))
+    try:
+        samples = rng.normal(10.0, 1.0, size=(trials, n))
+    except (ValueError, MemoryError) as exc:
+        raise InvalidParameters(f"cannot draw {trials} trials of n = {n}: {exc}") from exc
     s = samples.std(axis=1, ddof=1)
     s_star = unbiased_stdev(s, n)
     # precision.stdev_stderr, with 0 for a zero-spread sample

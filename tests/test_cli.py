@@ -185,6 +185,14 @@ class TestSimulate:
         assert run(capsys, "simulate", "--n", "5", "--sigma", sigma, "--trials", "100",
                    "--seed", seed) == (code, "", f"error: {message}\n")
 
+    def test_size_numpy_cannot_draw_exits_2(self, capsys):
+        trials = str(10**21)
+        code, out, err = run(capsys, "simulate", "--n", "5", "--sigma", "1",
+                             "--trials", trials, "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot draw {trials} trials of n = 5")
+        assert err.count("\n") == 1
+
     def test_deterministic(self, capsys):
         argv = ("simulate", "--n", "3", "--sigma", "2", "--trials", "5000",
                 "--seed", "11")

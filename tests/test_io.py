@@ -605,6 +605,14 @@ class TestLoadErrors:
         with pytest.raises(ParseError, match=f"^'{key}' is not a JSON array$"):
             dataset_from_obj(obj)
 
+    def test_declaration_defaults(self):
+        # an unknown key is ignored; the file's defaults, then the constructor's, fill the rest
+        obj = {"schema": {"conditions": []}, "objects": [{"id": "A", "notes": "x"}],
+               "measurands": [{"id": "M"}], "measurements": []}
+        ds = dataset_from_obj(obj)
+        assert ds.objects == (ObjectRef("A", "A", None),)
+        assert ds.measurands == (Measurand("M", "M", "", 0.0, None, "continuous"),)
+
     @pytest.mark.parametrize("source", [5, 0, False, 1.5, [1], {}])
     def test_json_source_must_be_a_string_or_null(self, source):
         obj = {"schema": {"conditions": []}, "objects": [{"id": "A"}],
@@ -752,6 +760,14 @@ class TestValidateDataset:
         assert [(i.severity, i.location, i.message) for i in issues] == [
             ("warning", f"measurement {n} (sys, score)",
              "conditions ['lab'] are not in the schema; not saved") for n in (1, 2)]
+
+    def test_non_string_condition_name_is_one_error(self):
+        # not a TypeError from sorting mixed names; its missing/extra warnings are skipped
+        rows = [Measurement("sys", "score", v, (5, "z"), ("x", "y")) for v in (1.0, 2.0)]
+        issues = validate_dataset(self.make(rows))
+        assert [(i.severity, i.location, i.message) for i in issues] == [
+            ("error", f"measurement {n} (sys, score)",
+             "condition name must be a string, not int") for n in (1, 2)]
 
     def test_every_issue_in_order(self):
         schema = ConditionSchema(conditions=(("lab", OBJECT_CONDITION),

@@ -355,6 +355,17 @@ class TestIndex:
         assert repr(built).startswith("QraDataset(schema=ConditionSchema(")
         assert "index" not in repr(built)
 
+    def test_lists_are_stored_as_tuples(self):
+        members = list(rows(("a", "x", 1.0), ("a", "x", 2.0)))
+        built = QraDataset(default_condition_schema(), [ObjectRef("a", "a")],
+                           [Measurand("x", "x", "score")], members)
+        frozen = dataset(tuple(members), objects=("a",), measurands=("x",))
+        assert built == frozen and hash(built) == hash(frozen)
+        assert all(type(getattr(built, name)) is tuple
+                   for name in ("objects", "measurands", "measurements"))
+        members.append(rows(("a", "y", 3.0))[0])
+        assert len(built.measurements) == 2 and built.pairs() == [("a", "x")]
+
     def test_replace_builds_a_fresh_index(self):
         ds = dataset(rows(("a", "x", 1.0), ("a", "x", 2.0)))
         ds.pairs()

@@ -47,6 +47,8 @@ class TestSimulate:
         dict(n=5, sigma=math.nan, trials=10, seed=0),
         dict(n=5, sigma=math.inf, trials=10, seed=0),
         dict(n=5, sigma=1.0, trials=10, seed=-1),
+        dict(n=5, sigma=1.0, trials=10**21, seed=0),
+        dict(n=10**30, sigma=1.0, trials=1, seed=0),
     ])
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(InvalidParameters):
