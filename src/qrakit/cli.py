@@ -14,6 +14,7 @@ from .engine import assess_all, subgroup_assess
 from .errors import InvalidParameters, QraError, ValidationError
 from .io import (
     _BUNDLED,
+    FORMATS as DATASET_FORMATS,
     _encode_error,
     _read_dataset,
     _utf8,
@@ -21,7 +22,7 @@ from .io import (
     load_dataset,
 )
 from .model import validate_dataset
-from .render import FORMATS, RenderSpec, render_condition_matrix, render_precision_table
+from .render import FORMATS, RenderSpec, render_reports
 from .sim import simulate
 
 
@@ -45,14 +46,6 @@ def _emit(args, document: str) -> None:
             raise _encode_error("stdout", exc) from exc
 
 
-def _report_document(reports, args) -> str:
-    spec = RenderSpec(format=args.render)
-    parts = [render_precision_table(reports, spec)]
-    if args.conditions:
-        parts += [render_condition_matrix(r, spec) for r in reports]
-    return "\n".join(parts)
-
-
 def cmd_validate(args) -> int:
     # parse without validating, so that one pass finds errors and warnings
     dataset = (_read_dataset(_BUNDLED) if args.input == "builtin"
@@ -73,7 +66,7 @@ def cmd_assess(args) -> int:
     reports, skipped = assess_all(_load(args), args.object, args.measurand)
     for (obj, measurand), reason in skipped:
         print(f"note: ({obj}, {measurand}) skipped: {reason}", file=sys.stderr)
-    _emit(args, _report_document(reports, args))
+    _emit(args, render_reports(reports, RenderSpec(args.render), args.conditions))
     return 0
 
 
@@ -92,7 +85,7 @@ def cmd_subgroup(args) -> int:
     dataset = _load(args)
     predicate = _parse_where(args.where or [])
     report = subgroup_assess(dataset, args.object, args.measurand, predicate)
-    _emit(args, _report_document([report], args))
+    _emit(args, render_reports([report], RenderSpec(args.render), args.conditions))
     return 0
 
 
@@ -114,7 +107,7 @@ def cmd_simulate(args) -> int:
 def _add_dataset_args(parser):
     parser.add_argument("--input", required=True,
                         help="dataset file, or 'builtin' for the bundled benchmark")
-    parser.add_argument("--format", choices=("csv", "json", "auto"), default="auto",
+    parser.add_argument("--format", choices=(*DATASET_FORMATS, "auto"), default="auto",
                         help="input file format (default: by extension)")
 
 

@@ -14,6 +14,7 @@ import datetime
 import json
 import re
 from io import StringIO
+from itertools import chain
 from pathlib import Path
 
 from .errors import EncodeError, ParseError, QraError, SchemaError, ValidationError
@@ -363,17 +364,17 @@ def _dataset_from_csv(path: Path) -> QraDataset:
 
 # ------------------------------------------------------------- loading
 
-_FORMATS = ("csv", "json")
+FORMATS = ("csv", "json")  # of a dataset file
 
 
 def _resolve_format(path: Path, fmt: str) -> str:
     if fmt == "auto":
         suffix = path.suffix.lower()
-        if suffix[1:] not in _FORMATS:
+        if suffix[1:] not in FORMATS:
             raise SchemaError(f"cannot infer format from extension {suffix!r}; "
                               "pass format='csv' or 'json'")
         return suffix[1:]
-    if fmt not in _FORMATS:
+    if fmt not in FORMATS:
         raise SchemaError(f"unknown format {fmt!r}")
     return fmt
 
@@ -401,9 +402,26 @@ def load_dataset(path, fmt: str = "auto") -> QraDataset:
     return _validated(_read_dataset(path, fmt), f"{path}: ")
 
 
+_LABEL_TYPES = {str, type(None)}
+
+
+def _check_labels(dataset: QraDataset, path: Path) -> None:
+    """Refuse a written label that is not a string or None, as the readers would."""
+    names = dataset.schema.names
+    labels = chain.from_iterable(m.labels_in(names) for m in dataset.measurements)
+    if _LABEL_TYPES.issuperset(map(type, labels)):
+        return
+    for n, m in enumerate(dataset.measurements, 1):  # a str subclass passes here
+        for label in m.labels_in(names):
+            if not (label is None or isinstance(label, str)):
+                raise EncodeError(f"{path}: measurement {n}: condition label must be a "
+                                  f"string or null, not {type(label).__name__}")
+
+
 def save_dataset(dataset: QraDataset, path, fmt: str = "auto") -> None:
     """Write a dataset to disk; CSV also writes the .meta.json sidecar."""
     path = Path(path)
+    _check_labels(dataset, path)  # the writers would put 5 as 5 or "5"
     if _resolve_format(path, fmt) == "csv":
         texts = [(path, _dataset_to_csv(dataset)),
                  (_meta_path(path), [_header_text(dataset), "\n"])]

@@ -156,16 +156,18 @@ def _unscaled(x: float, e: int) -> float:
 
 def cv_star_pipeline(values, scale_min=0.0) -> PrecisionResult:
     """Full precision computation for one group of raw scores."""
-    shifted = shift_values(values, scale_min)
-    # Work on the values scaled by 2**-e, which puts the largest in [0.5, 1),
-    # so no square overflows or underflows, and scale back at the end. Powers
-    # of two scale exactly, so moderate inputs keep the bits of unscaled
-    # arithmetic; CV and CV* are ratios and need no unscaling.
-    e = math.frexp(max(shifted, default=0.0))[1]
-    mean, s = sample_stats([math.ldexp(v, -e) for v in shifted])
+    shift_values(values, scale_min)  # for its ValueBelowScale check, on the unscaled values
+    # Work on the values and scale_min scaled by 2**-e, which puts the largest
+    # magnitude among them in [0.5, 1), so neither the shift nor a square
+    # overflows, and scale back at the end. Powers of two scale exactly, so
+    # moderate inputs keep the bits of unscaled arithmetic; CV and CV* are
+    # ratios and need no unscaling.
+    e = math.frexp(max(abs(scale_min), max(map(abs, values), default=0.0)))[1]
+    low = math.ldexp(scale_min, -e)
+    mean, s = sample_stats([math.ldexp(v, -e) - low for v in values])
     if mean == 0.0:
         raise DegenerateMean("shifted mean is 0; coefficient of variation undefined")
-    n = len(shifted)
+    n = len(values)
     s_star = unbiased_stdev(s, n)
     se = stdev_stderr(s, s_star, n)
     lo, hi = stdev_ci95(s_star, se, n)
@@ -175,7 +177,8 @@ def cv_star_pipeline(values, scale_min=0.0) -> PrecisionResult:
         n=n, mean=_unscaled(mean, e), s=_unscaled(s, e), s_star=_unscaled(s_star, e),
         se_s_star=_unscaled(se, e), ci95=(_unscaled(lo, e), _unscaled(hi, e)),
         cv=cv, cv_star=cv_star, degenerate_spread=(s == 0.0))
-    for name, value in (("s*", result.s_star), ("se(s*)", result.se_s_star),
+    for name, value in (("mean", result.mean), ("s*", result.s_star),
+                        ("se(s*)", result.se_s_star),
                         ("CI lower bound", result.ci95[0]),
                         ("CI upper bound", result.ci95[1]), ("CV", cv), ("CV*", cv_star)):
         if not math.isfinite(value):

@@ -35,22 +35,50 @@ class RenderSpec(namedtuple("RenderSpec", "format")):
         return super().__new__(cls, format)
 
 
-def _rows(reports):
-    rows = []
-    for r in reports:
-        p = r.precision
-        rows.append([
-            r.object.id,
-            r.measurand.id,
-            ", ".join(str(m.value) for m in r.measurements),
-            str(p.n),
-            f"{p.mean:.2f}",
-            f"{p.s_star:.2f}",
-            f"{p.ci95[0]:.2f}",
-            f"{p.ci95[1]:.2f}",
-            f"{p.cv_star:.3f}",
-        ])
-    return rows
+def _result(report: QraReport) -> dict:
+    """A report's row of the precision table; every format lays it out."""
+    # keys listed, not PrecisionResult._fields, so a field added there stays out of JSON
+    return {
+        "object": report.object.id,
+        "measurand": report.measurand.id,
+        "values": [m.value for m in report.measurements],
+        "n": report.precision.n,
+        "mean": report.precision.mean,
+        "s": report.precision.s,
+        "s_star": report.precision.s_star,
+        "se_s_star": report.precision.se_s_star,
+        "ci95": list(report.precision.ci95),
+        "cv": report.precision.cv,
+        "cv_star": report.precision.cv_star,
+        "classification": report.classification,
+    }
+
+
+def _matrix(report: QraReport) -> dict:
+    """A report's condition matrix as JSON holds it; every format lays it out."""
+    return {
+        "object": report.object.id,
+        "measurand": report.measurand.id,
+        "conditions": list(report.diff.conditions),
+        "rows": [{"value": m.value, "conditions": dict(zip(report.diff.conditions, row))}
+                 for m, row in zip(report.measurements, report.diff.rows)],
+        "verdicts": dict(report.diff.verdicts),
+        "classification": report.classification,
+    }
+
+
+def _rows(results):
+    return [[
+        r["object"],
+        r["measurand"],
+        ", ".join(map(str, r["values"])),
+        str(r["n"]),
+        f"{r['mean']:.2f}",
+        f"{r['s_star']:.2f}",
+        f"{r['ci95'][0]:.2f}",
+        f"{r['ci95'][1]:.2f}",
+        f"{r['cv_star']:.3f}",
+    ] for r in results]
 
 
 _TABLE_HEADER = ["object", "measurand", "values", "n", "mean", "stdev",
@@ -91,29 +119,10 @@ def render_precision_table(reports, spec: RenderSpec = RenderSpec()) -> str:
     """One row per report: sample, de-biased stdev with CI, and CV*."""
     if not reports:
         raise ValueError("no reports to render")
+    results = [_result(r) for r in reports]
     if spec.format == "json":
-        return json.dumps({
-            "results": [
-                {
-                    "object": r.object.id,
-                    "measurand": r.measurand.id,
-                    "values": [m.value for m in r.measurements],
-                    "n": r.precision.n,
-                    "mean": r.precision.mean,
-                    "s": r.precision.s,
-                    "s_star": r.precision.s_star,
-                    "se_s_star": r.precision.se_s_star,
-                    "ci95": list(r.precision.ci95),
-                    "cv": r.precision.cv,
-                    "cv_star": r.precision.cv_star,
-                    "classification": r.classification,
-                }
-                for r in reports
-            ],
-            "caveats": [NORMALITY_CAVEAT],
-        }, indent=2) + "\n"
-
-    rows = _rows(reports)
+        return json.dumps({"results": results, "caveats": [NORMALITY_CAVEAT]}, indent=2) + "\n"
+    rows = _rows(results)
     if spec.format == "csv":
         return _csv_table([PRECISION_CSV_HEADER,
                            *(row[:2] + row[3:] for row in rows)])  # no values
@@ -128,28 +137,26 @@ def render_condition_matrix(report: QraReport,
 
     A footer lists the per-condition verdicts and the test classification.
     """
-    conditions = report.diff.conditions
+    matrix = _matrix(report)
     if spec.format == "json":
-        return json.dumps({
-            "object": report.object.id,
-            "measurand": report.measurand.id,
-            "conditions": list(conditions),
-            "rows": [
-                {"value": m.value, "conditions": dict(zip(conditions, row))}
-                for m, row in zip(report.measurements, report.diff.rows)
-            ],
-            "verdicts": dict(report.diff.verdicts),
-            "classification": report.classification,
-        }, indent=2) + "\n"
-
+        return json.dumps(matrix, indent=2) + "\n"
+    conditions = matrix["conditions"]
     header = ["value", *conditions]
-    rows = [[str(m.value)] + ["?" if label is None else label for label in row]
-            for m, row in zip(report.measurements, report.diff.rows)]
-    verdicts = [report.diff.verdicts[name] for name in conditions]
-    class_line = f"classification: {report.classification}"
+    rows = [[str(r["value"])] + ["?" if c is None else c for c in r["conditions"].values()]
+            for r in matrix["rows"]]
+    verdicts = [matrix["verdicts"][name] for name in conditions]
+    class_line = f"classification: {matrix['classification']}"
     if spec.format == "csv":
         return _csv_table([header, *rows, ["verdict", *verdicts]]) + class_line + "\n"
     verdict_line = "verdicts: " + ", ".join(
         f"{name}={verdict}" for name, verdict in zip(conditions, verdicts))
-    return _document(spec, [f"{report.object.id} / {report.measurand.id}"], header, rows,
+    return _document(spec, [f"{matrix['object']} / {matrix['measurand']}"], header, rows,
                      [verdict_line, class_line])
+
+
+def render_reports(reports, spec: RenderSpec = RenderSpec(), conditions: bool = False) -> str:
+    """What ``qra`` prints: the precision table, then with ``conditions`` each matrix."""
+    parts = [render_precision_table(reports, spec)]  # perfbench traces each table's call
+    if conditions:
+        parts += [render_condition_matrix(r, spec) for r in reports]
+    return "\n".join(parts)

@@ -9,7 +9,7 @@ from qrakit.cli import main
 from qrakit.engine import subgroup_assess
 from qrakit.io import bundled_paper_dataset, load_dataset, save_dataset, validate_dataset
 from qrakit.model import ObjectRef
-from qrakit.render import RenderSpec, render_precision_table
+from qrakit.render import FORMATS, RenderSpec, render_precision_table
 from qrakit.sim import simulate
 
 
@@ -241,6 +241,14 @@ class TestValidate:
                            "--format", "csv")
         assert (code, out) == (0, "ok: 116 measurements, 18 (object, measurand) pairs\n")
 
+    def test_unknown_format_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--input", "x", "--format", "xml"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "[--format {csv,json,auto}]" in err
+        assert "argument --format: invalid choice: 'xml'" in err
+
 
 class TestBadInput:
     @pytest.mark.parametrize("argv", [
@@ -425,6 +433,25 @@ class TestBadInput:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "CI lower bound is -inf" in err
 
+    @pytest.mark.parametrize("values, scale_min, message", [
+        ((1.7e308, 1e308), -1e308, "mean is inf"),  # the shifted mean is 2.35e308
+        ((-1e308, 1e308), -1.7e308, "CI lower bound is -inf"),
+    ], ids=["mean", "ci"])
+    def test_shift_beyond_the_top_of_the_range_exits_3(self, capsys, tmp_path, values,
+                                                       scale_min, message):
+        path = tmp_path / "shift.json"
+        path.write_text(json.dumps({
+            "schema": {"conditions": []},
+            "objects": [{"id": "A"}],
+            "measurands": [{"id": "M", "scale_min": scale_min}],
+            "measurements": [{"object": "A", "measurand": "M", "value": v} for v in values],
+        }), encoding="utf-8")
+        assert run(capsys, "validate", "--input", str(path))[0] == 0
+        for render in FORMATS:
+            code, out, err = run(capsys, "assess", "--input", str(path), "--render", render)
+            assert (code, out) == (3, "")
+            assert err.startswith(f"error: {message}: ") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("name, content", [
         ("latin1.json", b'{"schema": {"conditions": []}, "objects": [{"id": "caf\xe9"}]}'),
         ("latin1.csv", b"object,measurand,value\nA,M,1.0\nA,M\xe9,2.0\n"),
@@ -477,7 +504,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("out", [False, True])
     def test_unencodable_output(self, capsys, monkeypatch, tmp_path, out):
-        monkeypatch.setattr("qrakit.cli._report_document", lambda reports, args: "x\ud800\n")
+        monkeypatch.setattr("qrakit.cli.render_reports", lambda *args: "x\ud800\n")
         target = tmp_path / "report.txt"
         target.write_bytes(b"kept")
         argv = ["assess", "--input", "builtin"] + (["--out", str(target)] if out else [])

@@ -550,6 +550,24 @@ class TestSaveErrors:
         assert exc.value.exit_code == 1
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    @pytest.mark.parametrize("name", ["data.json", "data.csv"])
+    @pytest.mark.parametrize("label", [5, 0, ("x",)], ids=["int", "zero", "tuple"])
+    def test_non_string_label_leaves_existing_files(self, ds, tmp_path, name, label):
+        """The readers refuse such a label, and CSV would reload 5 as "5" and 0 as
+        Unknown, so a save refuses it before it opens a file."""
+        path = tmp_path / name
+        save_dataset(ds, path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        m = ds.measurements[2]
+        bad = ds._replace(measurements=ds.measurements[:2]
+                          + (m._replace(labels=m.labels[:-1] + (label,)),)
+                          + ds.measurements[3:])
+        with pytest.raises(EncodeError) as exc:
+            save_dataset(bad, path)
+        assert str(exc.value) == (f"{path}: measurement 3: condition label must be a "
+                                  f"string or null, not {type(label).__name__}")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_lone_surrogate_in_a_sidecar(self, ds, tmp_path):
         path = tmp_path / "data.csv"
         save_dataset(ds, path)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.special import stdtrit
 
 from qrakit.errors import (
@@ -11,6 +11,7 @@ from qrakit.errors import (
     InvalidProbability,
     InvalidSampleSize,
     NonFiniteResult,
+    QraError,
     ValueBelowScale,
 )
 from qrakit.precision import (
@@ -242,6 +243,17 @@ class TestCvStarPipeline:
         assert result.cv_star == pytest.approx(reference.cv_star, rel=1e-9)
         assert all(math.isfinite(bound) for bound in result.ci95)
 
+    def test_shift_beyond_the_top_of_the_range(self):
+        # finite values and bound, but the shifted mean is 2.35e308
+        with pytest.raises(NonFiniteResult, match="^mean is inf: "):
+            cv_star_pipeline([1.7e308, 1e308], -1e308)
+        # the shift no longer overflows; the CI does
+        with pytest.raises(NonFiniteResult, match="^CI lower bound is -inf: "):
+            cv_star_pipeline([-1e308, 1e308], -1.7e308)
+        scaled = cv_star_pipeline([1.7e308 / 16, 1e308 / 16], -1e308 / 16)
+        assert scaled.mean == pytest.approx(1.46875e307)  # 2.35e308 / 16
+        assert scaled.cv_star == pytest.approx(29.698, abs=1e-3)
+
     def test_infinite_ci_raises(self):
         with pytest.raises(NonFiniteResult, match="CI lower bound is -inf"):
             cv_star_pipeline([1e300, 1.7e308], 0.0)
@@ -258,6 +270,32 @@ values_strategy = st.lists(
               allow_nan=False, allow_infinity=False),
     min_size=2, max_size=12,
 )
+
+
+anywhere = st.floats(allow_nan=False, allow_infinity=False)  # subnormals included
+
+
+@st.composite
+def anywhere_groups(draw):
+    """Values and a scale bound anywhere in the finite range: drawn apart, or as
+    small integers times one power of two, so that the shift matters."""
+    if draw(st.booleans()):
+        return draw(st.lists(anywhere, min_size=2, max_size=8)), draw(anywhere)
+    x = draw(st.integers(-1100, 1000))
+    values = draw(st.lists(st.integers(-2 ** 20, 2 ** 20), min_size=2, max_size=8))
+    return ([math.ldexp(v, x) for v in values],
+            math.ldexp(draw(st.integers(-2 ** 21, 2 ** 20)), x))
+
+
+def cv_or_error(values, scale_min):
+    """(CV, CV*) of a result whose every statistic is finite, or the QraError's class."""
+    try:
+        r = cv_star_pipeline(values, scale_min)
+    except QraError as exc:
+        return type(exc)
+    assert all(map(math.isfinite, (r.mean, r.s, r.s_star, r.se_s_star, *r.ci95, r.cv,
+                                   r.cv_star)))
+    return r.cv, r.cv_star
 
 
 class TestProperties:
@@ -283,6 +321,28 @@ class TestProperties:
             assert k > 1000  # s* or its CI leaves the float range
             return
         assert result.cv_star == cv_star_pipeline(values, 0.0).cv_star
+
+    @settings(max_examples=300, deadline=None)
+    @given(anywhere_groups(), st.integers(-1100, 1100))
+    # the shift overflows unless it is taken on scaled values; the true mean is 2.35e308
+    @example(([1.7e308, 1e308], -1e308), -4)
+    @example(([-1e308, 1e308], -1.7e308), -4)
+    def test_power_of_two_scaling_over_the_whole_range(self, group, k):
+        """Any finite values and bound, subnormals included, end in a QraError or a
+        finite result, whose CV and CV* are those of the inputs scaled by 2**k
+        wherever the scaled inputs stay finite and exact."""
+        values, scale_min = group
+        base = cv_or_error(values, scale_min)
+        try:
+            scaled = [math.ldexp(x, k) for x in (*values, scale_min)]
+        except OverflowError:
+            return
+        if [math.ldexp(x, -k) for x in scaled] != [*values, scale_min]:
+            return  # bits lost among the subnormals
+        other = cv_or_error(scaled[:-1], scaled[-1])
+        # the unscaled mean, s* or CI may leave the float range on one side only
+        if NonFiniteResult not in (base, other):
+            assert other == base
 
     @given(values_strategy)
     def test_scaling_leaves_moderate_results_bit_identical(self, values):

@@ -1,22 +1,31 @@
-"""perfbench's tracer finds every function that its layers name.
+"""perfbench's tracer finds every function that its layers name, and sees
+every table that ``qra`` prints.
 
-A function moved to another module leaves its layer with no spans, and the
-layer's per-layer metric then reads 0 without a word; this test fails first.
+A function moved to another module, or a table rendered past the traced
+functions, leaves its layer without spans, and the layer's per-layer metric
+then reads 0 without a word; these tests fail first.
 """
 import importlib
 from pathlib import Path
 
-import qrakit.cli  # noqa: F401  the tracer wraps modules that are loaded
+import pytest
+
+import qrakit.cli  # the tracer wraps modules that are loaded
 import qrakit.io
 import qrakit.model
 import qrakit.sim  # noqa: F401
+from qrakit.render import FORMATS
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_every_layer_target_is_found(monkeypatch):
+@pytest.fixture
+def tracer(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    tracer = importlib.import_module("tracing").Tracer()
+    return importlib.import_module("tracing").Tracer()
+
+
+def test_every_layer_target_is_found(tracer):
     tracer.install()
     try:
         assert tracer._patched
@@ -25,3 +34,21 @@ def test_every_layer_target_is_found(monkeypatch):
     assert tracer.missing == set()
     # the io.validate layer names io's import of the model's function
     assert qrakit.io.validate_dataset is qrakit.model.validate_dataset
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_render_layer_sees_every_table_qra_prints(tracer, capsys, fmt):
+    """``qra`` renders through ``render_reports``, which the tracer does not wrap;
+    the tables it joins must still each be one ``render`` span."""
+    tracer.install()
+    try:
+        code = qrakit.cli.main(["assess", "--input", "builtin", "--conditions",
+                                "--render", fmt])
+        render = tracer.take()["render"]
+    finally:
+        tracer.uninstall()
+    out = capsys.readouterr().out
+    assert code == 0
+    # one precision table and 18 condition matrices, joined by 18 newlines
+    assert render["calls"] == 19
+    assert render["bytes"] == len(out.encode("utf-8")) - 18
