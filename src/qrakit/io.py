@@ -9,6 +9,7 @@ Unknown), with objects, measurands and the condition schema in a
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import datetime
 import json
@@ -253,17 +254,153 @@ def _json_rows(rows, names):
                raw)
 
 
-def _dataset_from_obj(obj: dict, where: str) -> QraDataset:
-    """``dataset_from_obj``; errors start with ``where``, the file's name."""
-    schema, objects, measurands = _header_from_obj(obj, where)
-    rows = _json_rows(_array(obj, "measurements", where), schema.names)
+def _json_dataset(header: dict, elements, where: str) -> QraDataset:
+    """The dataset of a JSON ``header`` and the measurement objects that
+    ``elements()`` returns once the header is built; errors start with ``where``."""
+    schema, objects, measurands = _header_from_obj(header, where)
+    rows = _json_rows(elements(), schema.names)
     measurements = _measurements(rows, schema, lambda n: f"{where}measurement {n}: ")
     return QraDataset(schema=schema, objects=objects,
                       measurands=measurands, measurements=measurements)
 
 
+def _dataset_from_obj(obj: dict, where: str) -> QraDataset:
+    """``dataset_from_obj``; errors start with ``where``, the file's name."""
+    return _json_dataset(obj, lambda: _array(obj, "measurements", where), where)
+
+
 def dataset_from_obj(obj: dict) -> QraDataset:
     return _dataset_from_obj(obj, "")
+
+
+# ---------------------------------------------------- streamed JSON load
+
+# bytes a streamed JSON load reads and decodes at a time, at least; a value
+# longer than that doubles the read until it fits
+_READ_BLOCK = 1 << 16
+_HEADER_KEYS = frozenset(("schema", "objects", "measurands"))
+_SKIP_WHITESPACE = json.decoder.WHITESPACE.match  # json's own: space, \t, \n, \r
+# what ends a value: a delimiter, with json's whitespace around it
+_DELIMITER = re.compile(r"[ \t\n\r]*([,:\]}])[ \t\n\r]*").match
+
+
+class _Handoff(Exception):
+    """A document the streamed reader leaves to the reference reader."""
+
+
+class _JsonStream:
+    """The text of a UTF-8 file, decoded in blocks, and a cursor into it that
+    steps over one JSON value or delimiter at a time, and the whitespace after
+    it; only the text from the cursor on is kept. Whatever is not a plain JSON
+    document raises ``_Handoff``."""
+
+    def __init__(self, file):
+        self.file, self.text, self.at, self.eof = file, "", 0, False
+        self.decode = codecs.getincrementaldecoder("utf-8")().decode
+        self.scan = json.JSONDecoder().scan_once  # what json.loads parses with
+
+    def _more(self) -> None:
+        """Drop the text before the cursor, then read as much again as is left,
+        or a block, and skip the whitespace that the cursor is at."""
+        if self.eof:
+            raise _Handoff
+        data = self.file.read(max(_READ_BLOCK, len(self.text) - self.at))
+        self.eof = not data
+        try:
+            text = self.text[self.at:] + self.decode(data, self.eof)
+        except UnicodeDecodeError:
+            raise _Handoff from None
+        if _SURROGATE_ESCAPE.search(text):
+            raise _Handoff  # the reference reader decides
+        self.text, self.at = text, _SKIP_WHITESPACE(text).end()
+
+    def peek(self) -> str:
+        """The character at the cursor."""
+        while self.at == len(self.text):
+            self._more()
+        return self.text[self.at]
+
+    def expect(self, chars: str) -> str:
+        """The character at the cursor, which must be one of ``chars``."""
+        char = self.peek()
+        if char not in chars:
+            raise _Handoff
+        self.at = _SKIP_WHITESPACE(self.text, self.at + 1).end()
+        return char
+
+    def value(self, follow: str):
+        """The JSON value at the cursor, decoded as ``json.loads`` decodes it,
+        and the delimiter after it, which must be one of ``follow``."""
+        while True:
+            try:  # a value cut by the end of the text may raise either
+                value, end = self.scan(self.text, self.at)
+            except (StopIteration, ValueError, RecursionError):
+                pass
+            else:
+                # "12" may be the start of "12.5": only a delimiter ends it
+                after = _DELIMITER(self.text, end)
+                if after:
+                    if after[1] not in follow:
+                        raise _Handoff
+                    self.at = after.end()
+                    return value, after[1]
+            self._more()
+
+    def elements(self):
+        """The values of the JSON array at the cursor, one at a time."""
+        self.expect("[")
+        if self.peek() == "]":
+            self.expect("]")
+            return
+        delimiter = ","
+        while delimiter == ",":
+            value, delimiter = self.value(",]")
+            yield value
+
+    def blank(self) -> bool:
+        """Whether only whitespace is left."""
+        while self.at == len(self.text) and not self.eof:
+            self._more()
+        return self.at == len(self.text)
+
+
+def _streamed_dataset(stream: _JsonStream, where: str) -> QraDataset:
+    """The dataset of a JSON object whose header keys all come before its
+    ``measurements``, each measurement built as it is decoded."""
+    stream.expect("{")
+    header, dataset, delimiter = {}, None, ","
+    while delimiter == ",":
+        key, _ = stream.value(":")
+        if not isinstance(key, str):
+            raise _Handoff
+        if key == "measurements":
+            # before the header, or with a header key after them, the rows would
+            # need a header not yet decoded; repeated, the last ones win
+            if not _HEADER_KEYS <= header.keys():
+                raise _Handoff
+            dataset = _json_dataset(header, stream.elements, where)
+            delimiter = stream.expect(",}")
+        elif dataset is not None and key in _HEADER_KEYS:
+            raise _Handoff
+        else:  # a repeated key: the last one wins
+            header[key], delimiter = stream.value(",}")
+    if dataset is None or not stream.blank():
+        raise _Handoff
+    return dataset
+
+
+def _read_json_dataset(path: Path) -> QraDataset:
+    """A JSON data file, read and built one measurement at a time. Any other
+    document (one ``_streamed_dataset`` cannot take, or with an error in it) is
+    read by the reference reader, ``_read_json`` then ``_dataset_from_obj``,
+    which returns the same dataset or raises the error a whole-file read gives."""
+    where = f"{path}: "
+    try:
+        with path.open("rb") as file:
+            return _streamed_dataset(_JsonStream(file), where)
+    except (OSError, _Handoff, QraError):
+        pass  # leaves the handler, and with it the stream's text, before the re-read
+    return _dataset_from_obj(_read_json(path), where)
 
 
 # ----------------------------------------------------------------- CSV
@@ -393,7 +530,7 @@ def _read_dataset(path, fmt: str = "auto") -> QraDataset:
     path = Path(path)
     if _resolve_format(path, fmt) == "csv":
         return _dataset_from_csv(path)
-    return _dataset_from_obj(_read_json(path), f"{path}: ")
+    return _read_json_dataset(path)
 
 
 def load_dataset(path, fmt: str = "auto") -> QraDataset:
@@ -406,22 +543,28 @@ _LABEL_TYPES = {str, type(None)}
 
 
 def _check_labels(dataset: QraDataset, path: Path) -> None:
-    """Refuse a written label that is not a string or None, as the readers would."""
+    """Refuse a written label that would not load back as itself: one that is
+    not a string or None, which the readers refuse, and "", which they read
+    as Unknown."""
     names = dataset.schema.names
-    labels = chain.from_iterable(m.labels_in(names) for m in dataset.measurements)
-    if _LABEL_TYPES.issuperset(map(type, labels)):
+    labels = list(chain.from_iterable(m.labels_in(names) for m in dataset.measurements))
+    # the second test compares only strings and None, which the first ensured
+    if _LABEL_TYPES.issuperset(map(type, labels)) and "" not in labels:
         return
     for n, m in enumerate(dataset.measurements, 1):  # a str subclass passes here
         for label in m.labels_in(names):
             if not (label is None or isinstance(label, str)):
                 raise EncodeError(f"{path}: measurement {n}: condition label must be a "
                                   f"string or null, not {type(label).__name__}")
+            if label == "":
+                raise EncodeError(f"{path}: measurement {n}: condition label must be "
+                                  f"non-empty: \"\" would load as Unknown")
 
 
 def save_dataset(dataset: QraDataset, path, fmt: str = "auto") -> None:
     """Write a dataset to disk; CSV also writes the .meta.json sidecar."""
     path = Path(path)
-    _check_labels(dataset, path)  # the writers would put 5 as 5 or "5"
+    _check_labels(dataset, path)  # the writers would put 5 as 5 or "5", and "" as is
     if _resolve_format(path, fmt) == "csv":
         texts = [(path, _dataset_to_csv(dataset)),
                  (_meta_path(path), [_header_text(dataset), "\n"])]

@@ -262,6 +262,35 @@ class TestBadInput:
         assert code in (1, 2, 3) and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    # the error line of every JSON file in tests/data/bad/, after its path
+    JSON_ERRORS = {
+        "condition_entry_not_object.json": "conditions entry 1 is not a JSON object",
+        "condition_name_not_string.json": "condition name must be a string, not int",
+        "conditions_not_object.json": "measurement 1: conditions is not a JSON object",
+        "declared_id_not_string.json": "object id must be a string, not list",
+        "label_not_string.json":
+            "measurement 2: condition label must be a string or null, not int",
+        "measurand_entry_not_object.json": "measurands entry 2 is not a JSON object",
+        "measurements_not_array.json": "'measurements' is not a JSON array",
+        "missing_measurements.json": "missing required field: 'measurements'",
+        "non_numeric_value.json": "measurement 2: value must be a number, not str",
+        "object_entry_not_object.json": "objects entry 1 is not a JSON object",
+        "object_id_not_string.json": "measurement 1: object id must be a string, not list",
+        "scale_max_nan.json": "measurand 'M': scale_max must be finite, not nan",
+        "scale_min_bool.json": "measurand 'M': scale_min must be a number, not bool",
+        "scale_min_neg_inf.json": "measurand 'M': scale_min must be finite, not -inf",
+        "schema_not_object.json": "'schema' is not a JSON object",
+        "source_not_string.json": "measurement 2: source must be a string or null, not int",
+        "timestamp_not_string.json":
+            "measurement 2: timestamp must be a string or null, not int",
+        "top_level_array.json": "top-level JSON value must be an object",
+        "truncated.json": "line 1 column 120: Unterminated string starting at",
+        "unit_not_string.json": "measurand 'M': unit must be a string, not int",
+        "value_bool.json": "measurement 2: value must be a number, not bool",
+        "value_int_too_large.json": "measurement 2: int too large to convert to float",
+        "value_numeric_string.json": "measurement 2: value must be a number, not str",
+    }
+
     @pytest.mark.parametrize("path", [
         path for path in sorted(BAD.glob("*.json"))
         if not path.name.endswith(".meta.json")
@@ -269,13 +298,7 @@ class TestBadInput:
     def test_json_errors_start_with_the_path(self, capsys, path):
         code, out, err = run(capsys, "assess", "--input", str(path))
         assert code == 1 and out == ""
-        assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1
-        row = {"non_numeric_value.json": 2, "conditions_not_object.json": 1,
-               "object_id_not_string.json": 1}
-        if path.name in row:
-            assert err.startswith(f"error: {path}: measurement {row[path.name]}: ")
-        if path.name == "measurements_not_array.json":
-            assert err == f"error: {path}: 'measurements' is not a JSON array\n"
+        assert err == f"error: {path}: {self.JSON_ERRORS[path.name]}\n"
 
     @pytest.mark.parametrize("name, message", [
         ("schema_not_object.json", "'schema' is not a JSON object"),

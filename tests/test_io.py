@@ -396,6 +396,234 @@ class TestSaveMemory:
         assert peak <= 2 * written
 
 
+class TestLoadMemory:
+    """A JSON load decodes and holds one block of text and one measurement's
+    objects at a time, not the whole text and its object graph. Here it peaks
+    at about 1.2x the dataset it returns; the whole-file read it replaced
+    peaked at about 3.4x, so this test fails with it."""
+
+    def test_json_peak_is_at_most_twice_the_dataset(self, tmp_path):
+        path = tmp_path / "data.json"
+        save_dataset(corpus_like(2000), path)
+        load_dataset(path)  # first-call work, untraced
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            dataset = load_dataset(path)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(dataset.measurements) == 2000
+        assert peak - before <= 2 * (size - before)
+
+
+class JsonObject(list):
+    """A JSON object as its (key, value) pairs, so that a key may repeat."""
+
+
+def noisy_json(node, rng) -> str:
+    """``node`` as JSON text with random whitespace around every token, random
+    escapes in strings and numbers in random notation. No escape is of a
+    surrogate, since a non-BMP character stays as it is."""
+    def ws():
+        return "".join(rng.choices(" \t\n\r", k=rng.randrange(3)))
+
+    def string(text):
+        out = []
+        for c in text:
+            must = c in '"\\' or c < " "
+            if c in JSON_ESCAPES and (must or rng.random() < 0.3):
+                out.append(JSON_ESCAPES[c])
+            elif must or (ord(c) < 0x10000 and rng.random() < 0.2):
+                out.append(rng.choice(("\\u%04x", "\\u%04X")) % ord(c))
+            else:
+                out.append(c)
+        return '"' + "".join(out) + '"'
+
+    def number(value):
+        forms = [repr(value), f"{value:.17e}", f"{value:.17E}"]
+        if value.is_integer() and abs(value) < 1e15:
+            forms.append(str(int(value)))
+        return rng.choice(forms)
+
+    def text(node):
+        if isinstance(node, dict):
+            node = JsonObject(node.items())
+        if isinstance(node, JsonObject):
+            return "{" + ws() + ",".join(ws() + string(k) + ws() + ":" + ws() + text(v) + ws()
+                                         for k, v in node) + "}"
+        if isinstance(node, list):
+            return "[" + ws() + ",".join(ws() + text(v) + ws() for v in node) + "]"
+        if isinstance(node, str):
+            return string(node)
+        if isinstance(node, float):
+            return number(node)
+        return json.dumps(node)
+
+    return ws() + text(node) + ws()
+
+
+JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "/": "\\/", "\b": "\\b", "\f": "\\f",
+                "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+DECOYS = [None, 7, "decoy", [1.5, {"k": []}], {"id": "Z"}]
+
+
+def shuffled_with_decoys(pairs, rng):
+    """``pairs`` in random order, some key given a decoy value before its
+    own, and maybe a key that no reader knows."""
+    pairs = rng.sample(pairs, len(pairs))
+    for _ in range(rng.randrange(3)):
+        at = rng.randrange(len(pairs) + 1)
+        key = rng.choice([k for k, _ in pairs[at:]] + ["note"])
+        pairs.insert(at, (key, rng.choice(DECOYS)))
+    return pairs
+
+
+def noisy_layout(obj: dict, rng, measurements_last: bool) -> JsonObject:
+    """``obj`` with its keys, and each measurement's keys, shuffled and
+    repeated. With ``measurements_last`` the header keys all come before the
+    measurements, as in every file qrakit writes; otherwise anywhere."""
+    rows = [JsonObject(shuffled_with_decoys(list(m.items()), rng)) for m in obj["measurements"]]
+    header = shuffled_with_decoys([(k, v) for k, v in obj.items() if k != "measurements"], rng)
+    at = len(header) if measurements_last else rng.randrange(len(header) + 1)
+    return JsonObject(header[:at] + [("measurements", rows)] + header[at:]
+                      + [("note", rng.choice(DECOYS))] * rng.randrange(2))
+
+
+@contextlib.contextmanager
+def read_block(n):
+    """A context in which a streamed JSON load reads ``n`` bytes at a time."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qrakit.io, "_READ_BLOCK", n)
+        yield
+
+
+@contextlib.contextmanager
+def no_whole_file_read():
+    """A context in which the whole-file reader raises, so that a load that
+    hands its document to it fails."""
+    def whole_file_read(path):
+        raise AssertionError(f"{path} was read whole")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qrakit.io, "_read_json", whole_file_read)
+        yield
+
+
+def load_outcome(load, path):
+    """The dataset ``load(path)`` returns, or the type and text of its error."""
+    try:
+        return load(path)
+    except (ParseError, SchemaError) as exc:
+        return type(exc), str(exc)
+
+
+class TestStreamedJsonLoad:
+    """A JSON data file is read in blocks and built one measurement at a time.
+    The reference is the whole-file reader, ``io._read_json`` then
+    ``io._dataset_from_obj``: every document loads to what it gives, and
+    every document the stream cannot take is handed to it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(odd_datasets(loadable=True), st.integers(0, 2**32), st.booleans(),
+           st.one_of(st.integers(1, 64), st.sampled_from([4096, qrakit.io._READ_BLOCK])))
+    def test_equals_json_loads(self, dataset, seed, measurements_last, block):
+        rng = random.Random(seed)  # of the layout; hypothesis draws the content
+        text = noisy_json(noisy_layout(dataset_to_obj(dataset), rng, measurements_last), rng)
+        expected = dataset_from_obj(json.loads(text))
+        with tempfile.TemporaryDirectory() as tmp, read_block(block):
+            path = Path(tmp) / "data.json"
+            path.write_bytes(text.encode("utf-8"))
+            # an escape that reads like a surrogate's is handed over on purpose
+            if measurements_last and not qrakit.io._SURROGATE_ESCAPE.search(text):
+                with no_whole_file_read():
+                    assert load_dataset(path) == expected
+            else:
+                assert load_dataset(path) == expected
+
+    @pytest.mark.parametrize("block", [1, 7, 4096, qrakit.io._READ_BLOCK])
+    def test_saved_files_are_streamed(self, ds, tmp_path, block):
+        corpus = corpus_like(600)
+        for dataset in (ds, corpus):
+            path = tmp_path / "data.json"
+            save_dataset(dataset, path)
+            with read_block(block), no_whole_file_read():
+                assert load_dataset(path) == dataset
+        # the bundled dataset loads through the same reader
+        with read_block(block), no_whole_file_read():
+            assert bundled_paper_dataset() == ds
+
+    def test_a_long_value_is_read_in_doubling_blocks(self, monkeypatch):
+        monkeypatch.setattr(qrakit.io, "_READ_BLOCK", 16)
+        reads = []
+
+        class File(io.BytesIO):
+            def read(self, n):
+                reads.append(n)
+                return super().read(n)
+
+        long = "\u00e9" * 100_000
+        stream = qrakit.io._JsonStream(File(json.dumps([long, 1.5]).encode("utf-8")))
+        assert list(stream.elements()) == [long, 1.5]
+        assert len(reads) <= 20 and reads[-1] >= 100_000
+
+    BASE = ('{"schema": {"conditions": [{"name": "lab", "category": "object_condition"}]}, '
+            '"objects": [{"id": "A"}], "measurands": [{"id": "M"}], '
+            '"measurements": [{"object": "A", "measurand": "M", "value": 1.5}, '
+            '{"object": "A", "measurand": "M", "value": 2.5, "source": "s"}]}')
+
+    @pytest.mark.parametrize("text", [
+        # measurements before the header, or followed by a header key; repeated,
+        # they are streamed again
+        '{"measurements": [{"object": "A", "measurand": "M", "value": 1.5}], '
+        + BASE[1:],
+        BASE[:-1] + ', "measurements": []}', BASE[:-1] + ', "measurements": 5}',
+        BASE[:-1] + ', "objects": [{"id": "A"}, {"id": "B"}]}',
+        BASE[:-1] + ', "schema": {"conditions": []}}',
+        # escapes that read like a surrogate's: a pair, an escaped backslash, a lone half
+        BASE.replace('"s"', '"\\ud83d\\ude00"'),
+        BASE.replace('"s"', '"\\\\ud800"'),
+        BASE.replace('"s"', '"\\ud800"'),
+        # not JSON, or not an object
+        "\ufeff" + BASE, BASE + " x", BASE[:-1], BASE.replace("1.5", "1.5.0"),
+        BASE.replace("2.5", "2.5e"), BASE.replace("}]}", "},]}"), "[" + BASE + "]",
+        "", "  ", "{}", "{1: 2}", BASE.replace('"s"', '"\x01"'),
+        # a field or row error, and a measurements value that is no array
+        BASE.replace("2.5", '"2.5"'), BASE.replace('"source": "s"', '"source": 5'),
+        BASE.replace('"objects": [{"id": "A"}]', '"objects": {}'),
+        BASE.replace('[{"object": "A", "measurand": "M", "value": 1.5}, ', "{").replace(
+            "]}", "}"),
+    ], ids=lambda text: repr(text[-30:]))
+    @pytest.mark.parametrize("block", [1, qrakit.io._READ_BLOCK])
+    def test_other_documents_get_the_reference_outcome(self, tmp_path, text, block):
+        path = tmp_path / "data.json"
+        path.write_bytes(text.encode("utf-8"))
+        reference = load_outcome(
+            lambda p: qrakit.io._dataset_from_obj(qrakit.io._read_json(p), f"{p}: "), path)
+        with read_block(block):
+            assert load_outcome(qrakit.io._read_dataset, path) == reference
+
+    def test_invalid_utf8_gets_the_reference_error(self, tmp_path):
+        path = tmp_path / "data.json"
+        data = self.BASE.encode("utf-8")
+        path.write_bytes(data[:100] + b"\xe9" + data[100:])
+        with read_block(16), pytest.raises(ParseError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == (f"{path}: 'utf-8' codec can't decode byte 0xe9 in "
+                                  f"position 100: invalid continuation byte")
+
+    def test_sidecar_is_read_whole(self, ds, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        save_dataset(ds, path)
+        read = []
+        whole_file_read = qrakit.io._read_json
+        monkeypatch.setattr(qrakit.io, "_read_json",
+                            lambda p: read.append(p) or whole_file_read(p))
+        assert load_dataset(path) == ds
+        assert read == [tmp_path / "data.meta.json"]
+
+
 class TestConditionCells:
     def test_json_labels_load_as_text(self, ds, tmp_path):
         # only a string or null is a label: no other JSON leaf is read as its text
@@ -566,6 +794,24 @@ class TestSaveErrors:
             save_dataset(bad, path)
         assert str(exc.value) == (f"{path}: measurement 3: condition label must be a "
                                   f"string or null, not {type(label).__name__}")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("name", ["data.json", "data.csv"])
+    def test_empty_label_leaves_existing_files(self, ds, tmp_path, name):
+        """Both readers load "" as Unknown, so two rows labelled "" would
+        assess as AllSame before a save and as HasUnknown after it."""
+        path = tmp_path / name
+        save_dataset(ds, path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        m = ds.measurements[2]
+        bad = ds._replace(measurements=ds.measurements[:2]
+                          + (m._replace(labels=m.labels[:-1] + ("",)),)
+                          + ds.measurements[3:])
+        with pytest.raises(EncodeError) as exc:
+            save_dataset(bad, path)
+        assert str(exc.value) == (f'{path}: measurement 3: condition label must be '
+                                  f'non-empty: "" would load as Unknown')
+        assert exc.value.exit_code == 1
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_lone_surrogate_in_a_sidecar(self, ds, tmp_path):
