@@ -9,7 +9,6 @@ Unknown), with objects, measurands and the condition schema in a
 """
 from __future__ import annotations
 
-import codecs
 import csv
 import datetime
 import json
@@ -123,10 +122,14 @@ def _field_error(where: str, exc: Exception) -> QraError:
     return ParseError(f"{where}{exc}")
 
 
+# the encoding of every file read: UTF-8, less a byte order mark at its start
+_ENCODING = "utf-8-sig"
+
+
 def _read_text(path) -> str:
-    """A file's text, decoded as UTF-8 with its newlines kept."""
+    """A file's text, decoded as ``_ENCODING`` with its newlines kept."""
     try:
-        return path.read_bytes().decode("utf-8")
+        return path.read_bytes().decode(_ENCODING)
     except (OSError, UnicodeDecodeError) as exc:
         # strerror drops OSError's "[Errno N]" prefix; decode errors have none
         raise ParseError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
@@ -275,8 +278,8 @@ def dataset_from_obj(obj: dict) -> QraDataset:
 
 # ---------------------------------------------------- streamed JSON load
 
-# bytes a streamed JSON load reads and decodes at a time, at least; a value
-# longer than that doubles the read until it fits
+# characters a streamed JSON load reads at a time, at least; a value longer
+# than that doubles the read until it fits
 _READ_BLOCK = 1 << 16
 _HEADER_KEYS = frozenset(("schema", "objects", "measurands"))
 _SKIP_WHITESPACE = json.decoder.WHITESPACE.match  # json's own: space, \t, \n, \r
@@ -289,14 +292,13 @@ class _Handoff(Exception):
 
 
 class _JsonStream:
-    """The text of a UTF-8 file, decoded in blocks, and a cursor into it that
+    """The text of an open text file, read in blocks, and a cursor into it that
     steps over one JSON value or delimiter at a time, and the whitespace after
     it; only the text from the cursor on is kept. Whatever is not a plain JSON
     document raises ``_Handoff``."""
 
     def __init__(self, file):
         self.file, self.text, self.at, self.eof = file, "", 0, False
-        self.decode = codecs.getincrementaldecoder("utf-8")().decode
         self.scan = json.JSONDecoder().scan_once  # what json.loads parses with
 
     def _more(self) -> None:
@@ -306,10 +308,7 @@ class _JsonStream:
             raise _Handoff
         data = self.file.read(max(_READ_BLOCK, len(self.text) - self.at))
         self.eof = not data
-        try:
-            text = self.text[self.at:] + self.decode(data, self.eof)
-        except UnicodeDecodeError:
-            raise _Handoff from None
+        text = self.text[self.at:] + data
         if _SURROGATE_ESCAPE.search(text):
             raise _Handoff  # the reference reader decides
         self.text, self.at = text, _SKIP_WHITESPACE(text).end()
@@ -389,20 +388,6 @@ def _streamed_dataset(stream: _JsonStream, where: str) -> QraDataset:
     return dataset
 
 
-def _read_json_dataset(path: Path) -> QraDataset:
-    """A JSON data file, read and built one measurement at a time. Any other
-    document (one ``_streamed_dataset`` cannot take, or with an error in it) is
-    read by the reference reader, ``_read_json`` then ``_dataset_from_obj``,
-    which returns the same dataset or raises the error a whole-file read gives."""
-    where = f"{path}: "
-    try:
-        with path.open("rb") as file:
-            return _streamed_dataset(_JsonStream(file), where)
-    except (OSError, _Handoff, QraError):
-        pass  # leaves the handler, and with it the stream's text, before the re-read
-    return _dataset_from_obj(_read_json(path), where)
-
-
 # ----------------------------------------------------------------- CSV
 
 def _meta_path(path: Path) -> Path:
@@ -434,11 +419,10 @@ def _dataset_to_csv(dataset: QraDataset):
         yield _csv_text(map(row, block))
 
 
-def _dataset_from_csv(path: Path) -> QraDataset:
+def _dataset_from_csv(path: Path, meta, file) -> QraDataset:
+    """The dataset of ``path``'s CSV text in ``file`` and its sidecar ``meta``."""
     meta_path = _meta_path(path)
-    meta = _read_json(meta_path) if meta_path.exists() else None
-    # decoded whole, so that a bad byte is not blamed on the row before it
-    reader = csv.reader(StringIO(_read_text(path), newline=""))
+    reader = csv.reader(file)
     try:
         fields = next(reader, None)
         if fields is None:
@@ -526,11 +510,24 @@ def _validated(dataset: QraDataset, where: str = "") -> QraDataset:
 
 
 def _read_dataset(path, fmt: str = "auto") -> QraDataset:
-    """A dataset file, parsed but not validated."""
+    """A dataset file, parsed, not validated, as it is read. On any fault it is
+    read again whole by the reference reader, which gives the dataset or error
+    a whole-file read gives: a bad byte anywhere in the file comes first."""
     path = Path(path)
-    if _resolve_format(path, fmt) == "csv":
-        return _dataset_from_csv(path)
-    return _read_json_dataset(path)
+    where = f"{path}: "
+    is_csv = _resolve_format(path, fmt) == "csv"
+    # a sidecar is read whole, and before its data file, in either read
+    meta = _read_json(_meta_path(path)) if is_csv and _meta_path(path).exists() else None
+    try:
+        with path.open(encoding=_ENCODING, newline="") as file:
+            if is_csv:
+                return _dataset_from_csv(path, meta, file)
+            return _streamed_dataset(_JsonStream(file), where)
+    except (OSError, UnicodeDecodeError, _Handoff, QraError):
+        pass  # leaves the handler, and with it the text read so far, before the re-read
+    if is_csv:
+        return _dataset_from_csv(path, meta, StringIO(_read_text(path), newline=""))
+    return _dataset_from_obj(_read_json(path), where)
 
 
 def load_dataset(path, fmt: str = "auto") -> QraDataset:

@@ -339,6 +339,27 @@ class TestBadInput:
         assert (code, out) == (1, "")
         assert err == f"error: {path}: {message}\n"
 
+    ROWS = b"object,measurand,value\nA,M,high\n" + b"A,M,1.0\n" * 9000  # over 64 KiB
+
+    @pytest.mark.parametrize("tail, sidecar, where, message", [
+        # a bad byte anywhere is reported before the bad row above it
+        (b"A,M,\xff\n", None, "data.csv", "'utf-8' codec can't decode byte 0xff in "
+                                          f"position {len(ROWS) + 4}: invalid start byte"),
+        (b"", None, "data.csv:2", "could not convert string to float: 'high'"),
+        # and a bad sidecar before either
+        (b"A,M,\xff\n", b"{", "data.meta.json",
+         "line 1 column 2: Expecting property name enclosed in double quotes"),
+    ], ids=["bad_byte", "bad_row", "bad_sidecar"])
+    def test_csv_faults_are_reported_in_file_order(self, capsys, tmp_path, tail, sidecar,
+                                                   where, message):
+        path = tmp_path / "data.csv"
+        path.write_bytes(self.ROWS + tail)
+        if sidecar is not None:
+            (tmp_path / "data.meta.json").write_bytes(sidecar)
+        code, out, err = run(capsys, "assess", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {tmp_path / where}: {message}\n"
+
     def test_csv_header_errors_name_file_and_column(self, capsys):
         for name, column in (("sidecar_missing_column.csv", "'cond.performed_by'"),
                              ("repeated_column.csv", "'value'")):
