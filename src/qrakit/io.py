@@ -14,7 +14,6 @@ import datetime
 import json
 import re
 from io import StringIO
-from itertools import chain
 from pathlib import Path
 
 from .errors import EncodeError, ParseError, QraError, SchemaError, ValidationError
@@ -536,32 +535,9 @@ def load_dataset(path, fmt: str = "auto") -> QraDataset:
     return _validated(_read_dataset(path, fmt), f"{path}: ")
 
 
-_LABEL_TYPES = {str, type(None)}
-
-
-def _check_labels(dataset: QraDataset, path: Path) -> None:
-    """Refuse a written label that would not load back as itself: one that is
-    not a string or None, which the readers refuse, and "", which they read
-    as Unknown."""
-    names = dataset.schema.names
-    labels = list(chain.from_iterable(m.labels_in(names) for m in dataset.measurements))
-    # the second test compares only strings and None, which the first ensured
-    if _LABEL_TYPES.issuperset(map(type, labels)) and "" not in labels:
-        return
-    for n, m in enumerate(dataset.measurements, 1):  # a str subclass passes here
-        for label in m.labels_in(names):
-            if not (label is None or isinstance(label, str)):
-                raise EncodeError(f"{path}: measurement {n}: condition label must be a "
-                                  f"string or null, not {type(label).__name__}")
-            if label == "":
-                raise EncodeError(f"{path}: measurement {n}: condition label must be "
-                                  f"non-empty: \"\" would load as Unknown")
-
-
 def save_dataset(dataset: QraDataset, path, fmt: str = "auto") -> None:
     """Write a dataset to disk; CSV also writes the .meta.json sidecar."""
     path = Path(path)
-    _check_labels(dataset, path)  # the writers would put 5 as 5 or "5", and "" as is
     if _resolve_format(path, fmt) == "csv":
         texts = [(path, _dataset_to_csv(dataset)),
                  (_meta_path(path), [_header_text(dataset), "\n"])]

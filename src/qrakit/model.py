@@ -155,14 +155,33 @@ def known(label: str) -> ConditionValue:
     return ConditionValue(label)
 
 
+# the exact types of a label, and of a name, that ``Measurement``'s fast path passes
+_LABEL_TYPES, _NAME_TYPES = frozenset((str, type(None))), frozenset((str,))
+
+
+def _check_conditions(names, labels) -> None:
+    """Refuse the first condition name that is not a non-empty string, then the
+    first label that is neither None (Unknown) nor a non-empty string."""
+    for name in names:
+        _check_str("condition name", name)
+    for label in labels:
+        if not (label is None or isinstance(label, str)):
+            raise TypeError(f"condition label must be a string or null, "
+                            f"not {type(label).__name__}")
+        if label == "":
+            raise ValueError("known condition labels must be non-empty")
+
+
 class Measurement(namedtuple("Measurement", "object measurand value names labels "
                              "source timestamp")):
     """One measured quantity value for an (object, measurand) pair, checked as
     every row is: ``object`` and ``measurand`` are non-empty ids, ``value`` a
     number (not a bool or a str) stored as a float, ``source`` a string or None
-    (read as "") and ``timestamp`` a ``datetime.date`` or None. ``labels[i]``,
-    as ``_label`` makes it (None for Unknown), labels condition ``names[i]``; both
-    are stored as tuples of equal length, sharing a schema's ``names`` tuple.
+    (read as "") and ``timestamp`` a ``datetime.date`` or None. ``labels[i]``
+    labels condition ``names[i]``, a non-empty string; a label is None for
+    Unknown or a non-empty string, as ``_label`` makes it ("", a
+    ``ConditionValue`` and other types are refused). Both are stored as tuples
+    of equal length, sharing a schema's ``names`` tuple.
     """
 
     __slots__ = ()
@@ -175,6 +194,10 @@ class Measurement(namedtuple("Measurement", "object measurand value names labels
         names, labels = tuple(names), tuple(labels)  # a tuple is kept as it is
         if len(labels) != len(names):
             raise ValueError(f"{len(labels)} labels for {len(names)} condition names")
+        # one C-level pass for the usual row; only a row that fails it is walked
+        if not (_LABEL_TYPES.issuperset(map(type, labels)) and "" not in labels
+                and _NAME_TYPES.issuperset(map(type, names)) and "" not in names):
+            _check_conditions(names, labels)
         if source is None:
             source = ""
         elif not isinstance(source, str):
@@ -213,12 +236,7 @@ def make_measurement(object_id, measurand_id, value, conditions=None,
     ``Measurement``'s rule: a ``value`` of ``"5"`` raises TypeError.
     """
     conditions = conditions or {}
-    if schema is not None:
-        names = schema.names
-    else:
-        names = tuple(conditions)
-        for name in names:
-            _check_str("condition name", name)
+    names = tuple(conditions) if schema is None else schema.names
     labels = tuple(_label(conditions.get(name)) for name in names)
     return Measurement(object_id, measurand_id, value, names, labels, source, timestamp)
 
@@ -347,10 +365,6 @@ def validate_dataset(dataset: QraDataset):
             err(loc, f"value {m.value} below scale minimum {lo}")
         elif m.value > hi:
             err(loc, f"value {m.value} above scale maximum {hi}")
-        odd = [type(name).__name__ for name in m.names if not isinstance(name, str)]
-        if odd:
-            err(loc, f"condition name must be a string, not {odd[0]}")
-            continue
         missing = schema_names.difference(m.names)
         if missing:
             warn(loc, f"no entry for conditions {sorted(missing)}; treated as Unknown")

@@ -12,10 +12,20 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import qrakit.io
-from qrakit.engine import condition_diff, subgroup_assess
+from qrakit import render
+from qrakit.engine import (
+    ALL_SAME,
+    HAS_UNKNOWN,
+    INDETERMINATE,
+    assess_all,
+    classify,
+    condition_diff,
+    run_qra_test,
+    subgroup_assess,
+)
 from qrakit.errors import EmptyGroup, EncodeError, ParseError, SchemaError, ValidationError
 from qrakit.io import (
     _dataset_to_csv,
@@ -31,7 +41,9 @@ from qrakit.model import (
     CONDITION_CATEGORIES,
     MEASUREMENT_PROCEDURE,
     OBJECT_CONDITION,
+    UNKNOWN,
     ConditionSchema,
+    ConditionValue,
     Measurand,
     Measurement,
     ObjectRef,
@@ -45,6 +57,17 @@ from qrakit.model import (
 @pytest.fixture(scope="module")
 def ds():
     return bundled_paper_dataset()
+
+
+def assert_refused(m, error, message, **changes):
+    """``Measurement(...)``, ``_make`` and ``_replace`` all raise exactly ``error``
+    with ``message`` for ``m`` with ``changes``."""
+    fields = m._asdict() | changes
+    for build in (lambda: Measurement(**fields), lambda: Measurement._make(fields.values()),
+                  lambda: m._replace(**changes)):
+        with pytest.raises(error) as exc:
+            build()
+        assert type(exc.value) is error and str(exc.value) == message
 
 
 class TestBundledDataset:
@@ -847,18 +870,13 @@ class TestSaveErrors:
     @pytest.mark.parametrize("label", [5, 0, ("x",)], ids=["int", "zero", "tuple"])
     def test_non_string_label_leaves_existing_files(self, ds, tmp_path, name, label):
         """The readers refuse such a label, and CSV would reload 5 as "5" and 0 as
-        Unknown, so a save refuses it before it opens a file."""
+        Unknown, so no measurement can hold one: there is no dataset to save."""
         path = tmp_path / name
         save_dataset(ds, path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         m = ds.measurements[2]
-        bad = ds._replace(measurements=ds.measurements[:2]
-                          + (m._replace(labels=m.labels[:-1] + (label,)),)
-                          + ds.measurements[3:])
-        with pytest.raises(EncodeError) as exc:
-            save_dataset(bad, path)
-        assert str(exc.value) == (f"{path}: measurement 3: condition label must be a "
-                                  f"string or null, not {type(label).__name__}")
+        assert_refused(m, TypeError, "condition label must be a string or null, "
+                       f"not {type(label).__name__}", labels=m.labels[:-1] + (label,))
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("name", ["data.json", "data.csv"])
@@ -869,14 +887,8 @@ class TestSaveErrors:
         save_dataset(ds, path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         m = ds.measurements[2]
-        bad = ds._replace(measurements=ds.measurements[:2]
-                          + (m._replace(labels=m.labels[:-1] + ("",)),)
-                          + ds.measurements[3:])
-        with pytest.raises(EncodeError) as exc:
-            save_dataset(bad, path)
-        assert str(exc.value) == (f'{path}: measurement 3: condition label must be '
-                                  f'non-empty: "" would load as Unknown')
-        assert exc.value.exit_code == 1
+        assert_refused(m, ValueError, "known condition labels must be non-empty",
+                       labels=m.labels[:-1] + ("",))
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_lone_surrogate_in_a_sidecar(self, ds, tmp_path):
@@ -888,6 +900,76 @@ class TestSaveErrors:
         with pytest.raises(ParseError, match=r"data\.meta\.json: a JSON string holds the "
                                               r"lone surrogate '\\udfff'$"):
             load_dataset(path)
+
+
+class TestConditionRule:
+    """``Measurement`` holds the one rule for conditions, so every dataset that
+    can be built assesses, renders and round-trips through both formats alike."""
+
+    SCHEMA = ConditionSchema(conditions=(("lab", OBJECT_CONDITION),
+                                         ("test_set", MEASUREMENT_PROCEDURE)))
+    DECLARED = dict(objects=(ObjectRef("a", "a"), ObjectRef("b", "b")),
+                    measurands=(Measurand("score", "score", "score"),))
+
+    @staticmethod
+    def calls(dataset):
+        """Each pair's condition verdicts and QRA call."""
+        return {pair: (diff.verdicts, classify(diff)) for pair, diff in (
+            (pair, condition_diff(members, dataset.schema))
+            for pair, members in dataset.index.groups.items())}
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("ab"), st.integers(1, 20),
+                              st.lists(st.one_of(st.none(), st.just(""), st.just(UNKNOWN),
+                                                 st.integers(-2, 2), label_text),
+                                       min_size=2, max_size=2)),
+                    min_size=4, max_size=12))
+    def test_what_constructs_renders_and_round_trips(self, rows):
+        built = []
+        for obj, value, labels in rows:
+            with contextlib.suppress(TypeError, ValueError):
+                built.append(Measurement(obj, "score", value, self.SCHEMA.names, labels))
+        dataset = QraDataset(self.SCHEMA, measurements=built, **self.DECLARED)
+        assume(any(len(members) > 1 for members in dataset.index.groups.values()))
+        reports, _ = assess_all(dataset)
+        for fmt in render.FORMATS:
+            assert isinstance(render.render_reports(reports, render.RenderSpec(fmt), True), str)
+        before = self.calls(dataset)
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in ("data.json", "data.csv"):
+                save_dataset(dataset, Path(tmp) / name)
+                assert self.calls(load_dataset(Path(tmp) / name)) == before
+
+    @pytest.mark.parametrize("label", [UNKNOWN, ConditionValue("x")])
+    def test_a_condition_value_is_no_label(self, label):
+        m = make_measurement("a", "score", 1.0, {"lab": "x"}, schema=self.SCHEMA)
+        assert_refused(m, TypeError, "condition label must be a string or null, "
+                       "not ConditionValue", labels=(label, None))
+
+    def test_unknown_reads_as_unknown_in_make_measurement(self):
+        rows = [make_measurement("a", "score", v, {"lab": UNKNOWN, "test_set": "t"},
+                                 schema=self.SCHEMA) for v in (1.0, 2.0)]
+        report = run_qra_test(QraDataset(self.SCHEMA, measurements=rows, **self.DECLARED),
+                              "a", "score")
+        assert report.diff.verdicts == {"lab": HAS_UNKNOWN, "test_set": ALL_SAME}
+        assert report.classification == INDETERMINATE
+
+    def test_empty_name_is_refused(self):
+        m = make_measurement("a", "score", 1.0, schema=self.SCHEMA)
+        assert_refused(m, ValueError, "condition name must be non-empty", names=("", "z"))
+
+    @pytest.mark.parametrize("name", ["data.json", "data.csv"])
+    def test_a_str_subclass_constructs_saves_and_reloads(self, tmp_path, name):
+        class Label(str):
+            pass
+
+        rows = tuple(Measurement("a", "score", v, self.SCHEMA.names, (Label("x"), Label("y")))
+                     for v in (1.0, 2.0))
+        dataset = QraDataset(self.SCHEMA, measurements=rows, **self.DECLARED)
+        save_dataset(dataset, tmp_path / name)
+        loaded = load_dataset(tmp_path / name)
+        assert loaded == dataset
+        assert {type(label) for m in loaded.measurements for label in m.labels} == {str}
 
 
 class TestLoadErrors:
@@ -1091,12 +1173,11 @@ class TestValidateDataset:
              "conditions ['lab'] are not in the schema; not saved") for n in (1, 2)]
 
     def test_non_string_condition_name_is_one_error(self):
-        # not a TypeError from sorting mixed names; its missing/extra warnings are skipped
-        rows = [Measurement("sys", "score", v, (5, "z"), ("x", "y")) for v in (1.0, 2.0)]
-        issues = validate_dataset(self.make(rows))
-        assert [(i.severity, i.location, i.message) for i in issues] == [
-            ("error", f"measurement {n} (sys, score)",
-             "condition name must be a string, not int") for n in (1, 2)]
+        # no row holds one, so validate_dataset never sorts mixed names
+        m = make_measurement("sys", "score", 1.0, schema=default_condition_schema())
+        assert_refused(m, TypeError, "condition name must be a string, not int",
+                       names=(5,) + m.names[1:])
+        assert validate_dataset(self.make([m, m._replace(value=2.0)])) == []
 
     def test_every_issue_in_order(self):
         schema = ConditionSchema(conditions=(("lab", OBJECT_CONDITION),

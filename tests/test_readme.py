@@ -1,0 +1,22 @@
+"""README.md's Python examples run as written."""
+import re
+from pathlib import Path
+
+from qrakit import assess_all, bundled_paper_dataset
+from qrakit.render import RenderSpec, render_reports
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_python_examples_run_in_order_in_one_namespace():
+    text = README.read_text(encoding="utf-8")
+    blocks = list(re.finditer(r"^```python\n(.*?)^```$", text, re.M | re.S))
+    assert blocks
+    # the raw_decode example reads a `qra assess --render json --conditions` output
+    namespace = {"out": render_reports(assess_all(bundled_paper_dataset())[0],
+                                       RenderSpec("json"), True)}
+    for block in blocks:
+        # padded so that a traceback gives the README's own line numbers
+        line = text.count("\n", 0, block.start(1))
+        exec(compile("\n" * line + block[1], str(README), "exec"), namespace)
+    assert len(namespace["docs"]) == 19  # the precision table and 18 matrices
