@@ -112,6 +112,8 @@ def _dataset_to_json(dataset: QraDataset):
 
 
 _FIELD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)  # float(10**400)
+# timestamp text on every Python; from 3.11 on, date.fromisoformat also reads 20200101 and 2020-W01-1
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch
 
 
 def _field_error(where: str, exc: Exception) -> QraError:
@@ -226,6 +228,8 @@ def _measurements(rows, schema: ConditionSchema, where) -> tuple:
         for obj, measurand, value, source, ts, raw in rows:
             if ts is not None and not isinstance(ts, str):
                 raise TypeError(f"timestamp must be a string or null, not {type(ts).__name__}")
+            if ts and not _ISO_DATE(ts):
+                raise ValueError(f"Invalid isoformat string: {ts!r}")  # 3.10's own message
             ts = datetime.date.fromisoformat(ts) if ts else None
             try:
                 labels = tuple(map(memo.__getitem__, raw))

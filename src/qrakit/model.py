@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter, namedtuple
-from datetime import date
+from datetime import date, datetime
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import EmptyGroup, UnknownMeasurand, UnknownObject
 
@@ -177,11 +178,11 @@ class Measurement(namedtuple("Measurement", "object measurand value names labels
     """One measured quantity value for an (object, measurand) pair, checked as
     every row is: ``object`` and ``measurand`` are non-empty ids, ``value`` a
     number (not a bool or a str) stored as a float, ``source`` a string or None
-    (read as "") and ``timestamp`` a ``datetime.date`` or None. ``labels[i]``
-    labels condition ``names[i]``, a non-empty string; a label is None for
-    Unknown or a non-empty string, as ``_label`` makes it ("", a
-    ``ConditionValue`` and other types are refused). Both are stored as tuples
-    of equal length, sharing a schema's ``names`` tuple.
+    (read as "") and ``timestamp`` a ``datetime.date`` (not a ``datetime``) or
+    None. ``labels[i]`` labels condition ``names[i]``, a non-empty string; a
+    label is None for Unknown or a non-empty string, as ``_label`` makes it
+    ("", a ``ConditionValue`` and other types are refused). Both are stored as
+    tuples of equal length, sharing a schema's ``names`` tuple.
     """
 
     __slots__ = ()
@@ -202,7 +203,9 @@ class Measurement(namedtuple("Measurement", "object measurand value names labels
             source = ""
         elif not isinstance(source, str):
             raise TypeError(f"source must be a string or null, not {type(source).__name__}")
-        if timestamp is not None and not isinstance(timestamp, date):
+        # a datetime is a date too, but saves as text that no reader loads
+        if timestamp is not None and (not isinstance(timestamp, date)
+                                      or isinstance(timestamp, datetime)):
             raise TypeError(f"timestamp must be a date or None, not {type(timestamp).__name__}")
         # tuple.__new__, not the namedtuple's: one Python call per row a reader builds
         return tuple.__new__(cls, (object, measurand, value, names, labels, source, timestamp))
@@ -246,46 +249,25 @@ def make_measurement(object_id, measurand_id, value, conditions=None,
 # dataset order.
 DatasetIndex = namedtuple("DatasetIndex", "objects measurands groups")
 
-_DatasetFields = namedtuple("QraDataset", "schema objects measurands measurements")
 
+class QraDataset(namedtuple("QraDataset", "schema objects measurands measurements")):
+    """A condition schema plus declared objects, measurands and measurements."""
 
-class QraDataset:
-    """A condition schema plus declared objects, measurands and measurements.
-
-    Not a tuple: the fields live in ``__dict__``, where perfbench's tracer swaps one.
-    """
-
-    __match_args__ = _DatasetFields._fields
+    # no ``__slots__ = ()``: ``index`` is cached in __dict__
+    _make = _checked_make
     __setattr__ = __delattr__ = _immutable
+    # a non-data descriptor over the field, so perfbench's tracer can swap it in __dict__
+    measurements = cached_property(itemgetter(3))
 
-    def __init__(self, schema, objects, measurands, measurements=()):
+    def __new__(cls, schema, objects, measurands, measurements=()):
         # any other iterable is stored as a tuple; a tuple, a subclass too, as itself
-        objects, measurands, measurements = (
+        return super().__new__(cls, schema, *(
             seq if isinstance(seq, tuple) else tuple(seq)
-            for seq in (objects, measurands, measurements))
-        vars(self).update(schema=schema, objects=objects, measurands=measurands,
-                          measurements=measurements)
-
-    def _astuple(self):
-        return _DatasetFields(self.schema, self.objects, self.measurands, self.measurements)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __hash__(self):
-        return hash(self._astuple())
-
-    def __repr__(self):
-        return repr(self._astuple())
-
-    def _replace(self, **changes):
-        return type(self)(*self._astuple()._replace(**changes))
+            for seq in (objects, measurands, measurements)))
 
     def __reduce__(self):
         # the four fields only: a copy builds its own index when first used
-        return type(self), tuple(self._astuple())
+        return type(self), tuple(self)
 
     @cached_property
     def index(self) -> DatasetIndex:

@@ -102,11 +102,9 @@ def _csv_table(rows) -> str:
 
 
 def _markdown_table(header, rows):
-    lines = ["| " + " | ".join(header) + " |",
-             "| " + " | ".join("---" for _ in header) + " |"]
-    for r in rows:
-        lines.append("| " + " | ".join(r) + " |")
-    return lines
+    def line(cells):  # a "|" in an id, a name or a label is escaped, not a column break
+        return "| " + " | ".join(c.replace("|", "\\|") for c in cells) + " |"
+    return [line(header), line("---" for _ in header), *map(line, rows)]
 
 
 def _document(spec: RenderSpec, before, header, rows, after) -> str:

@@ -463,6 +463,22 @@ class TestBadInput:
         assert code == 1
         assert err.startswith(f"error: {path}:3: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("text", ["20200101", "2020-W01-1"])
+    def test_a_timestamp_is_yyyy_mm_dd_on_every_python(self, capsys, tmp_path, text):
+        dated_json = tmp_path / "dated.json"
+        dated_json.write_text(json.dumps({
+            "schema": {"conditions": []}, "objects": [{"id": "A"}],
+            "measurands": [{"id": "M"}],
+            "measurements": [{"object": "A", "measurand": "M", "value": 1.0,
+                              "timestamp": text}],
+        }), encoding="utf-8")
+        dated_csv = tmp_path / "dated.csv"
+        dated_csv.write_text(f"object,measurand,value,timestamp\nA,M,1.0,{text}\n")
+        for path, where in ((dated_json, ": measurement 1"), (dated_csv, ":2")):
+            code, out, err = run(capsys, "assess", "--input", str(path))
+            assert (code, out) == (1, "")
+            assert err == f"error: {path}{where}: Invalid isoformat string: {text!r}\n"
+
     def test_top_of_range_values_exit_3(self, capsys, tmp_path):
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({

@@ -623,6 +623,8 @@ class TestStreamedJsonLoad:
         BASE + " x", BASE[:-1], BASE.replace("1.5", "1.5.0"),
         BASE.replace("2.5", "2.5e"), BASE.replace("}]}", "},]}"), "[" + BASE + "]",
         "", "  ", "{}", "{1: 2}", BASE.replace('"s"', '"\x01"'),
+        # a key or a value followed by a delimiter that does not belong there
+        '{"schema", 1}', '{"schema": {"conditions": []} : 1}',
         # a field or row error, and a measurements value that is no array
         BASE.replace("2.5", '"2.5"'), BASE.replace('"source": "s"', '"source": 5'),
         BASE.replace('"objects": [{"id": "A"}]', '"objects": {}'),

@@ -206,6 +206,17 @@ class TestRowRule:
         with pytest.raises(TypeError, match="^timestamp must be a date or None, not str$"):
             make_measurement("A", "M", 1.0, timestamp="2022-05-01")
 
+    def test_timestamp_is_not_a_datetime(self):
+        moment = datetime.datetime(2020, 1, 1, 12)
+        row = make_measurement("A", "M", 1.0)
+        for build in (lambda: Measurement("A", "M", 1.0, (), (), "", moment),
+                      lambda: Measurement._make((*row[:6], moment)),
+                      lambda: row._replace(timestamp=moment),
+                      lambda: make_measurement("A", "M", 1.0, timestamp=moment)):
+            with pytest.raises(TypeError,
+                               match="^timestamp must be a date or None, not datetime$"):
+                build()
+
 
 class TestDeclarationFields:
     @pytest.mark.parametrize("fields, message", [
@@ -350,7 +361,7 @@ class TestIndex:
         before = (hash(built), repr(built))
         built.pairs()
         assert "index" in vars(built) and "index" not in vars(fresh)
-        assert built == fresh and built != built._astuple()
+        assert built == fresh and built == tuple(built)
         assert (hash(built), repr(built)) == before == (hash(fresh), repr(fresh))
         assert repr(built).startswith("QraDataset(schema=ConditionSchema(")
         assert "index" not in repr(built)

@@ -2,6 +2,7 @@
 import re
 from pathlib import Path
 
+import qrakit
 from qrakit import assess_all, bundled_paper_dataset
 from qrakit.render import RenderSpec, render_reports
 
@@ -20,3 +21,15 @@ def test_python_examples_run_in_order_in_one_namespace():
         line = text.count("\n", 0, block.start(1))
         exec(compile("\n" * line + block[1], str(README), "exec"), namespace)
     assert len(namespace["docs"]) == 19  # the precision table and 18 matrices
+
+
+def test_every_public_class_is_a_named_tuple_listed_as_a_record():
+    records = {name for name in qrakit.__all__
+               if isinstance(getattr(qrakit, name), type)
+               and not issubclass(getattr(qrakit, name), BaseException)}
+    for name in records:
+        cls = getattr(qrakit, name)
+        assert issubclass(cls, tuple) and hasattr(cls, "_fields"), name
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    sentence = re.search(r"Every record is a named tuple \(.*?\):(.*?)\.\s", text)
+    assert set(re.findall(r"`(\w+)`", sentence[1])) == records

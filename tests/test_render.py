@@ -1,10 +1,12 @@
 import json
+import re
 
 import pytest
 
 from qrakit.engine import run_qra_test
 from qrakit.io import bundled_paper_dataset
 from qrakit.model import (
+    ConditionSchema,
     Measurand,
     ObjectRef,
     QraDataset,
@@ -15,6 +17,7 @@ from qrakit.render import (
     RenderSpec,
     render_condition_matrix,
     render_precision_table,
+    render_reports,
 )
 
 
@@ -144,3 +147,26 @@ class TestConditionMatrix:
         data_rows = [l for l in doc.splitlines()
                      if l.startswith("|") and "---" not in l][1:]
         assert len(data_rows) == 7
+
+
+def test_markdown_escapes_a_pipe_in_every_cell():
+    schema = ConditionSchema([("c|d", "measurement_procedure")])
+    dataset = QraDataset(
+        schema=schema,
+        objects=(ObjectRef("A|B", "A|B"),),
+        measurands=(Measurand("M|N", "M|N", "score"),),
+        measurements=tuple(
+            make_measurement("A|B", "M|N", value, conditions={"c|d": "x|y"}, schema=schema)
+            for value in (1.0, 2.0)),
+    )
+    doc = render_reports([run_qra_test(dataset, "A|B", "M|N")],
+                         RenderSpec(format="markdown"), conditions=True)
+    tables = [[re.split(r"(?<!\\)\|", line)[1:-1] for line in block.splitlines()
+               if line.startswith("|")] for block in doc.split("\n\n")]
+    tables = [t for t in tables if t]
+    assert [len(t) for t in tables] == [3, 4]  # header, rule and rows of each table
+    for header, *rows in tables:
+        assert all(len(row) == len(header) for row in rows)
+    assert [c.strip() for c in tables[0][2][:2]] == ["A\\|B", "M\\|N"]
+    assert [c.strip() for c in tables[1][0]] == ["value", "c\\|d"]
+    assert all(row[1].strip() == "x\\|y" for row in tables[1][2:])
