@@ -18,18 +18,11 @@ from .io import (
     _encode_error,
     _read_dataset,
     _utf8,
-    bundled_paper_dataset,
     load_dataset,
 )
 from .model import validate_dataset
 from .render import FORMATS, RenderSpec, render_reports
 from .sim import simulate
-
-
-def _load(args):
-    if args.input == "builtin":
-        return bundled_paper_dataset()
-    return load_dataset(args.input, fmt=args.format)
 
 
 def _emit(args, document: str) -> None:
@@ -48,8 +41,7 @@ def _emit(args, document: str) -> None:
 
 def cmd_validate(args) -> int:
     # parse without validating, so that one pass finds errors and warnings
-    dataset = (_read_dataset(_BUNDLED) if args.input == "builtin"
-               else _read_dataset(args.input, args.format))
+    dataset = _read_dataset(args.input, args.format)
     issues = validate_dataset(dataset)
     errors = [i for i in issues if i.severity == "error"]
     # with blocking errors, only they are printed
@@ -63,7 +55,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_assess(args) -> int:
-    reports, skipped = assess_all(_load(args), args.object, args.measurand)
+    reports, skipped = assess_all(load_dataset(args.input, args.format), args.object, args.measurand)
     for (obj, measurand), reason in skipped:
         print(f"note: ({obj}, {measurand}) skipped: {reason}", file=sys.stderr)
     _emit(args, render_reports(reports, RenderSpec(args.render), args.conditions))
@@ -82,7 +74,7 @@ def _parse_where(entries):
 
 
 def cmd_subgroup(args) -> int:
-    dataset = _load(args)
+    dataset = load_dataset(args.input, args.format)
     predicate = _parse_where(args.where or [])
     report = subgroup_assess(dataset, args.object, args.measurand, predicate)
     _emit(args, render_reports([report], RenderSpec(args.render), args.conditions))
@@ -105,8 +97,8 @@ def cmd_simulate(args) -> int:
 
 
 def _add_dataset_args(parser):
-    parser.add_argument("--input", required=True,
-                        help="dataset file, or 'builtin' for the bundled benchmark")
+    parser.add_argument("--input", required=True, type=lambda s: _BUNDLED if s == "builtin" else s,
+                        help="dataset file, or 'builtin' for the bundled benchmark JSON file")
     parser.add_argument("--format", choices=(*DATASET_FORMATS, "auto"), default="auto",
                         help="input file format (default: by extension)")
 

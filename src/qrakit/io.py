@@ -161,6 +161,8 @@ def _read_json(path) -> dict:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: "
                          f"{exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # too deep, or an integer over the digit limit
+        raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: top-level JSON value must be an object")
     if _SURROGATE_ESCAPE.search(text):
@@ -475,8 +477,6 @@ def _dataset_from_csv(path: Path, meta, file) -> QraDataset:
         measurements = _measurements(rows(), schema, lambda _: f"{path}:{reader.line_num}: ")
     except csv.Error as exc:  # no line: line_num may not have reached the bad line
         raise ParseError(f"{path}: {exc}") from exc
-    if not measurements:
-        raise ParseError(f"{path}: no measurement rows")
     if meta is None:
         objects = tuple(ObjectRef(id=o, display_name=o)
                         for o in dict.fromkeys(m.object for m in measurements))

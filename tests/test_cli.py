@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -58,6 +59,17 @@ class TestAssess:
         assert run(capsys, "assess", "--input", str(path)) == (
             0, builtin[1],
             f"note: (solo, {measurand}) skipped: only 1 measurement; need at least 2\n")
+
+    def test_builtin_read_as_csv_is_an_error(self, capsys):
+        code, out, err = run(capsys, "assess", "--input", "builtin", "--format", "csv")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert err.endswith("qra_benchmark.json: missing required column 'object'\n")
+
+    @pytest.mark.parametrize("command", ["assess", "validate"])
+    def test_builtin_as_json_prints_as_builtin(self, capsys, command):
+        assert (run(capsys, command, "--input", "builtin", "--format", "json")
+                == run(capsys, command, "--input", "builtin"))
 
     def test_missing_input_file(self, capsys):
         code, _, err = run(capsys, "assess", "--input", "missing.csv")
@@ -235,6 +247,10 @@ class TestValidate:
         assert code == 0 and out.startswith("ok: 116 measurements")
         assert len(calls) == 1
 
+    def test_header_only_csv_is_an_empty_dataset(self, capsys):
+        code, out, _ = run(capsys, "validate", "--input", str(BAD / "header_only.csv"))
+        assert (code, out) == (0, "ok: 0 measurements, 0 (object, measurand) pairs\n")
+
     def test_explicit_format(self, capsys, tmp_path):
         save_dataset(bundled_paper_dataset(), tmp_path / "data.txt", fmt="csv")
         code, out, _ = run(capsys, "validate", "--input", str(tmp_path / "data.txt"),
@@ -404,6 +420,27 @@ class TestBadInput:
         code, _, err = run(capsys, "assess", "--input", str(path))
         assert code == 1
         assert err == f"error: {sidecar}: line 1 column 12: Expecting value\n"
+
+    @staticmethod
+    def deep_note(text):  # nested past the decoder's recursion limit
+        return text.rstrip()[:-1] + ', "note": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+    @pytest.mark.parametrize("name, edit", [
+        ("data.json", deep_note),
+        ("data.meta.json", deep_note),  # the sidecar of data.csv
+        # over int's digit limit or, where there is none, past float's range
+        ("data.json", lambda text: re.sub(r'"value": [^,\n]+', '"value": ' + "9" * 5000,
+                                          text, count=1)),
+    ], ids=["deep_data", "deep_sidecar", "long_int_value"])
+    def test_json_the_decoder_refuses_ends_in_one_error_line(self, capsys, tmp_path, name,
+                                                             edit):
+        data = tmp_path / ("data.csv" if name.endswith(".meta.json") else name)
+        save_dataset(bundled_paper_dataset(), data)
+        target = tmp_path / name
+        target.write_text(edit(target.read_text(encoding="utf-8")), encoding="utf-8")
+        code, out, err = run(capsys, "assess", "--input", str(data))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {target}: ") and len(err.splitlines()) == 1
 
     def test_bad_csv_value(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

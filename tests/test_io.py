@@ -230,7 +230,7 @@ def datasets(draw):
             timestamp=draw(st.one_of(st.none(), st.dates())),
             schema=schema,
         )
-        for _ in range(draw(st.integers(1, 6)))
+        for _ in range(draw(st.integers(0, 6)))
     )
     return QraDataset(
         schema=schema,

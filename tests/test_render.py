@@ -170,3 +170,28 @@ def test_markdown_escapes_a_pipe_in_every_cell():
     assert [c.strip() for c in tables[0][2][:2]] == ["A\\|B", "M\\|N"]
     assert [c.strip() for c in tables[1][0]] == ["value", "c\\|d"]
     assert all(row[1].strip() == "x\\|y" for row in tables[1][2:])
+
+
+def _report(obj, measurand, condition, label):
+    schema = ConditionSchema([(condition, "measurement_procedure")])
+    dataset = QraDataset(
+        schema=schema,
+        objects=(ObjectRef(obj, obj),),
+        measurands=(Measurand(measurand, measurand, "score"),),
+        measurements=tuple(
+            make_measurement(obj, measurand, value, conditions={condition: label}, schema=schema)
+            for value in (1.0, 2.0)),
+    )
+    return run_qra_test(dataset, obj, measurand)
+
+
+@pytest.mark.parametrize("fmt", ["text", "markdown"])
+@pytest.mark.parametrize("breaks", ["\n", "\r\n", "\x0b\x0c", "\x1c\x1d\x1e", "\x85",
+                                    "\u2028\u2029"], ids=repr)
+def test_a_line_break_in_a_cell_does_not_break_the_line(fmt, breaks):
+    names = [f"{part}{breaks}{part}" for part in ("A", "M", "c", "y")]
+    doc = render_reports([_report(*names)], RenderSpec(fmt), conditions=True)
+    plain = render_reports([_report(*(n.replace(breaks, "x") for n in names))],
+                           RenderSpec(fmt), conditions=True)
+    assert len(doc.splitlines()) == len(plain.splitlines())
+    assert "A" + repr(breaks)[1:-1] + "A" in doc
