@@ -7,6 +7,7 @@ errors (e.g. a degenerate mean or too few measurements).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -25,18 +26,26 @@ from .render import FORMATS, RenderSpec, render_reports
 from .sim import simulate
 
 
-def _emit(args, document: str) -> None:
-    if args.out:
-        data = _utf8(document, args.out)  # before the file is opened
+def _emit(document: str, out=None) -> None:
+    if out:
+        data = _utf8(document, out)  # before the file is opened
         try:
-            Path(args.out).write_bytes(data)
+            Path(out).write_bytes(data)
         except OSError as exc:
-            raise InvalidParameters(f"--out {args.out}: {exc.strerror or exc}") from exc
+            raise InvalidParameters(f"--out {out}: {exc.strerror or exc}") from exc
     else:
         try:
             sys.stdout.write(document)
+            sys.stdout.flush()
         except UnicodeEncodeError as exc:  # raised before anything is written
             raise _encode_error("stdout", exc) from exc
+        except BrokenPipeError as exc:
+            # the reader is gone: send the unflushed rest, which the
+            # interpreter writes at exit, to devnull instead of the pipe
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise InvalidParameters(f"stdout: {exc.strerror}") from exc
 
 
 def cmd_validate(args) -> int:
@@ -45,20 +54,20 @@ def cmd_validate(args) -> int:
     issues = validate_dataset(dataset)
     errors = [i for i in issues if i.severity == "error"]
     # with blocking errors, only they are printed
-    for issue in errors or issues:
-        print(f"{issue.severity}: {issue.location}: {issue.message}")
-    if errors:
-        return ValidationError.exit_code
-    print(f"ok: {len(dataset.measurements)} measurements, "
-          f"{len(dataset.pairs())} (object, measurand) pairs")
-    return 0
+    lines = [f"{issue.severity}: {issue.location}: {issue.message}\n"
+             for issue in errors or issues]
+    if not errors:
+        lines.append(f"ok: {len(dataset.measurements)} measurements, "
+                     f"{len(dataset.pairs())} (object, measurand) pairs\n")
+    _emit("".join(lines))
+    return ValidationError.exit_code if errors else 0
 
 
 def cmd_assess(args) -> int:
     reports, skipped = assess_all(load_dataset(args.input, args.format), args.object, args.measurand)
     for (obj, measurand), reason in skipped:
         print(f"note: ({obj}, {measurand}) skipped: {reason}", file=sys.stderr)
-    _emit(args, render_reports(reports, RenderSpec(args.render), args.conditions))
+    _emit(render_reports(reports, RenderSpec(args.render), args.conditions), args.out)
     return 0
 
 
@@ -77,7 +86,11 @@ def cmd_subgroup(args) -> int:
     dataset = load_dataset(args.input, args.format)
     predicate = _parse_where(args.where or [])
     report = subgroup_assess(dataset, args.object, args.measurand, predicate)
-    _emit(args, render_reports([report], RenderSpec(args.render), args.conditions))
+    for m in report.excluded:
+        source = f" from {m.source}" if m.source else ""
+        print(f"note: ({args.object}, {args.measurand}) excluded: {m.value}{source}",
+              file=sys.stderr)
+    _emit(render_reports([report], RenderSpec(args.render), args.conditions), args.out)
     return 0
 
 
@@ -92,7 +105,7 @@ def cmd_simulate(args) -> int:
         f"mean(s*)   {result.mean_s_star:.7g}",
         f"95% CI coverage of sigma: {result.ci_coverage:.4f}",
     ]
-    _emit(args, "\n".join(lines) + "\n")
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 

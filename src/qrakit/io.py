@@ -247,7 +247,7 @@ def _measurements(rows, schema: ConditionSchema, where) -> tuple:
 
 def _json_rows(rows, names):
     """The ``_measurements`` row of each JSON measurement object."""
-    unknown = (None,) * len(names)
+    unknown, declared = (None,) * len(names), frozenset(names)
     for r in rows:
         if not isinstance(r, dict):
             raise TypeError("not a JSON object")
@@ -255,6 +255,9 @@ def _json_rows(rows, names):
         if conditions is None:
             raw = unknown
         elif isinstance(conditions, dict):
+            if not conditions.keys() <= declared:  # a misspelt name would read as Unknown
+                name = next(k for k in conditions if k not in declared)
+                raise ValueError(f"condition {name!r} is not in the schema")
             raw = list(map(conditions.get, names))
         else:
             raise TypeError("conditions is not a JSON object")
@@ -444,6 +447,11 @@ def _dataset_from_csv(path: Path, meta, file) -> QraDataset:
                 if _COND_PREFIX + name not in fields:
                     raise SchemaError(f"{path}: no column {_COND_PREFIX + name!r} for "
                                       f"condition {name!r} declared in {meta_path}")
+            undeclared = next((f for f in fields if f.startswith(_COND_PREFIX)
+                               and f[len(_COND_PREFIX):] not in schema.names), None)
+            if undeclared is not None:
+                raise SchemaError(f"{path}: column {undeclared!r} names no condition "
+                                  f"declared in {meta_path}")
         else:
             # no sidecar: the schema comes from the header; the objects and
             # measurands come from the measurements, once they are built
@@ -503,15 +511,6 @@ def _resolve_format(path: Path, fmt: str) -> str:
     return fmt
 
 
-def _validated(dataset: QraDataset, where: str = "") -> QraDataset:
-    """The dataset, or a ValidationError whose locations start with ``where``."""
-    errors = [i._replace(location=where + i.location)
-              for i in validate_dataset(dataset) if i.severity == "error"]
-    if errors:
-        raise ValidationError(errors)
-    return dataset
-
-
 def _read_dataset(path, fmt: str = "auto") -> QraDataset:
     """A dataset file, parsed, not validated, as it is read. On any fault it is
     read again whole by the reference reader, which gives the dataset or error
@@ -536,7 +535,12 @@ def _read_dataset(path, fmt: str = "auto") -> QraDataset:
 def load_dataset(path, fmt: str = "auto") -> QraDataset:
     """Load and validate a dataset; raises on parse or validation errors."""
     path = Path(path)  # every error names the file as the parse errors do
-    return _validated(_read_dataset(path, fmt), f"{path}: ")
+    dataset = _read_dataset(path, fmt)
+    errors = [i._replace(location=f"{path}: {i.location}")
+              for i in validate_dataset(dataset) if i.severity == "error"]
+    if errors:
+        raise ValidationError(errors)
+    return dataset
 
 
 def save_dataset(dataset: QraDataset, path, fmt: str = "auto") -> None:
@@ -560,4 +564,4 @@ _BUNDLED = Path(__file__).with_name("data") / "qra_benchmark.json"
 
 def bundled_paper_dataset() -> QraDataset:
     """The packaged 116-measurement benchmark dataset (18 assessable pairs)."""
-    return _validated(_read_dataset(_BUNDLED))  # errors: a packaging defect
+    return load_dataset(_BUNDLED)  # errors: a packaging defect

@@ -1,14 +1,23 @@
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import qrakit.cli
 from qrakit import errors
 from qrakit.cli import main
 from qrakit.engine import subgroup_assess
-from qrakit.io import bundled_paper_dataset, load_dataset, save_dataset, validate_dataset
+from qrakit.io import (
+    bundled_paper_dataset,
+    dataset_to_obj,
+    load_dataset,
+    save_dataset,
+    validate_dataset,
+)
 from qrakit.model import ObjectRef
 from qrakit.render import FORMATS, RenderSpec, render_precision_table
 from qrakit.sim import simulate
@@ -21,6 +30,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(argv, stdout, **env):
+    """``qra`` in a fresh interpreter; its exit code and stderr text."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "qrakit.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(Path(qrakit.cli.__file__).parents[1]), **env},
+        timeout=120)
+    return proc.returncode, proc.stderr.decode("utf-8", "backslashreplace")
 
 
 class TestAssess:
@@ -146,9 +164,21 @@ class TestSubgroup:
                                    (4.0, '"team ""B"""'), (5.0, "'quoted'"))))
         report = subgroup_assess(load_dataset(path), "A", "M", [("team", label)])
         assert report.precision.n == 2
+        excluded = {'team "B"': (2.0, 3.0, 5.0), "'quoted'": (1.0, 3.0, 4.0)}[label]
         assert run(capsys, "subgroup", "--input", str(path), "--object", "A",
                    "--measurand", "M", "--where", f"cond.team={label}") == (
-            0, render_precision_table([report], RenderSpec()), "")
+            0, render_precision_table([report], RenderSpec()),
+            "".join(f"note: (A, M) excluded: {value}\n" for value in excluded))
+
+    def test_excluded_measurements_are_notes_on_stderr(self, capsys):
+        code, out, err = run(capsys, "subgroup", "--input", "builtin", "--object", "NTS_def",
+                             "--measurand", "BLEU", "--conditions",
+                             "--where", "cond.compile_training_info=Nisioi et al.")
+        assert code == 0 and out.startswith("object ")
+        # in group order; " from <source>" only for a source that is not empty
+        assert err == ("note: (NTS_def, BLEU) excluded: 87.46 from Coop. & Shard.\n"
+                       "note: (NTS_def, BLEU) excluded: 86.61 from this paper\n"
+                       "note: (NTS_def, BLEU) excluded: 86.2 from this paper\n")
 
     def test_malformed_where_exits_2(self, capsys):
         code, _, err = run(
@@ -247,6 +277,19 @@ class TestValidate:
         assert code == 0 and out.startswith("ok: 116 measurements")
         assert len(calls) == 1
 
+    def test_stdout_that_cannot_take_an_id_ends_in_one_error_line(self, tmp_path):
+        obj = dataset_to_obj(bundled_paper_dataset())
+        obj["objects"].append({"id": "\u7cfb\u7edf"})
+        obj["measurements"].append({"object": "\u7cfb\u7edf", "measurand": "BLEU",
+                                    "value": 80.0})
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        # the singleton pair's warning names the id, which latin-1 cannot encode
+        code, err = run_process(["validate", "--input", str(path)], subprocess.PIPE,
+                                PYTHONIOENCODING="latin-1")
+        assert code == 1
+        assert err.startswith("error: stdout: cannot write ") and len(err.splitlines()) == 1
+
     def test_header_only_csv_is_an_empty_dataset(self, capsys):
         code, out, _ = run(capsys, "validate", "--input", str(BAD / "header_only.csv"))
         assert (code, out) == (0, "ok: 0 measurements, 0 (object, measurand) pairs\n")
@@ -282,6 +325,8 @@ class TestBadInput:
     JSON_ERRORS = {
         "condition_entry_not_object.json": "conditions entry 1 is not a JSON object",
         "condition_name_not_string.json": "condition name must be a string, not int",
+        "condition_not_in_schema.json":
+            "measurement 2: condition 'perfomed_by' is not in the schema",
         "conditions_not_object.json": "measurement 1: conditions is not a JSON object",
         "declared_id_not_string.json": "object id must be a string, not list",
         "label_not_string.json":
@@ -375,6 +420,13 @@ class TestBadInput:
         code, out, err = run(capsys, "assess", "--input", str(path))
         assert (code, out) == (1, "")
         assert err == f"error: {tmp_path / where}: {message}\n"
+
+    def test_csv_column_of_an_undeclared_condition(self, capsys):
+        path = BAD / "sidecar_undeclared_column.csv"
+        code, out, err = run(capsys, "validate", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == (f"error: {path}: column 'cond.perfomed_by' names no condition "
+                       f"declared in {BAD / 'sidecar_undeclared_column.meta.json'}\n")
 
     def test_csv_header_errors_name_file_and_column(self, capsys):
         for name, column in (("sidecar_missing_column.csv", "'cond.performed_by'"),
@@ -610,6 +662,16 @@ class TestBadInput:
         assert (code, stdout) == (1, "")
         assert err == f"error: {where}: cannot write '\\ud800': surrogates not allowed\n"
         assert target.read_bytes() == b"kept"
+
+    def test_closed_pipe_ends_in_one_error_line(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before qra starts
+        try:
+            code, err = run_process(["assess", "--input", "builtin", "--conditions",
+                                     "--render", "json"], write_end)
+        finally:
+            os.close(write_end)
+        assert (code, err) == (2, "error: stdout: Broken pipe\n")
 
     def test_out_into_missing_directory(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.txt"

@@ -97,6 +97,16 @@ class TestBundledDataset:
             assert row.condition(name).label == "M&al"
         assert row.condition("test_set").label == "vdL&al"
 
+    def test_validation_error_names_the_file(self, ds, monkeypatch, tmp_path):
+        obj = dataset_to_obj(ds)
+        obj["measurements"][0]["value"] = -1.0
+        path = tmp_path / "qra_benchmark.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        monkeypatch.setattr(qrakit.io, "_BUNDLED", path)
+        with pytest.raises(ValidationError) as exc:
+            bundled_paper_dataset()
+        assert str(exc.value).startswith(f"{path}: measurement 1 (")
+
     def test_human_scales_start_at_one(self, ds):
         assert ds.measurand_by_id("Clarity").scale_min == 1.0
         assert ds.measurand_by_id("Fluency").scale_min == 1.0
@@ -627,6 +637,8 @@ class TestStreamedJsonLoad:
         '{"schema", 1}', '{"schema": {"conditions": []} : 1}',
         # a field or row error, and a measurements value that is no array
         BASE.replace("2.5", '"2.5"'), BASE.replace('"source": "s"', '"source": 5'),
+        # a condition name the schema does not declare
+        BASE.replace('"source": "s"', '"source": "s", "conditions": {"lba": "x"}'),
         BASE.replace('"objects": [{"id": "A"}]', '"objects": {}'),
         BASE.replace('[{"object": "A", "measurand": "M", "value": 1.5}, ', "{").replace(
             "]}", "}"),
