@@ -22,12 +22,12 @@ from .io import (
     load_dataset,
 )
 from .model import validate_dataset
-from .render import FORMATS, RenderSpec, render_reports
+from .render import FORMATS, RenderSpec, _one_line, render_reports
 from .sim import simulate
 
 
 def _emit(document: str, out=None) -> None:
-    if out:
+    if out is not None:
         data = _utf8(document, out)  # before the file is opened
         try:
             Path(out).write_bytes(data)
@@ -54,7 +54,7 @@ def cmd_validate(args) -> int:
     issues = validate_dataset(dataset)
     errors = [i for i in issues if i.severity == "error"]
     # with blocking errors, only they are printed
-    lines = [f"{issue.severity}: {issue.location}: {issue.message}\n"
+    lines = [_one_line(f"{issue.severity}: {issue.location}: {issue.message}") + "\n"
              for issue in errors or issues]
     if not errors:
         lines.append(f"ok: {len(dataset.measurements)} measurements, "
@@ -66,7 +66,7 @@ def cmd_validate(args) -> int:
 def cmd_assess(args) -> int:
     reports, skipped = assess_all(load_dataset(args.input, args.format), args.object, args.measurand)
     for (obj, measurand), reason in skipped:
-        print(f"note: ({obj}, {measurand}) skipped: {reason}", file=sys.stderr)
+        print(_one_line(f"note: ({obj}, {measurand}) skipped: {reason}"), file=sys.stderr)
     _emit(render_reports(reports, RenderSpec(args.render), args.conditions), args.out)
     return 0
 
@@ -88,7 +88,7 @@ def cmd_subgroup(args) -> int:
     report = subgroup_assess(dataset, args.object, args.measurand, predicate)
     for m in report.excluded:
         source = f" from {m.source}" if m.source else ""
-        print(f"note: ({args.object}, {args.measurand}) excluded: {m.value}{source}",
+        print(_one_line(f"note: ({args.object}, {args.measurand}) excluded: {m.value}{source}"),
               file=sys.stderr)
     _emit(render_reports([report], RenderSpec(args.render), args.conditions), args.out)
     return 0
@@ -170,7 +170,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except QraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(_one_line(f"error: {exc}"), file=sys.stderr)
         return exc.exit_code
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import attrgetter
 
-from .errors import EmptyGroup, InvalidSampleSize, MixedGroup
+from .errors import EmptyGroup, InvalidSampleSize, MixedGroup, QraError
 from .model import ConditionSchema, QraDataset, group
 from .precision import cv_star_pipeline
 
@@ -84,16 +84,12 @@ def classify(diff: ConditionDiffMatrix) -> str:
 
 
 def _assess(dataset, object_id, measurand_id, measurements, excluded=()):
-    if len(measurements) < 2:
-        raise InvalidSampleSize(
-            f"({object_id}, {measurand_id}): need at least 2 measurements, "
-            f"got {len(measurements)}"
-        )
     measurand = dataset.measurand_by_id(measurand_id)
     diff = condition_diff(measurements, dataset.schema)
-    precision = cv_star_pipeline(
-        [m.value for m in measurements], measurand.scale_min
-    )
+    try:  # the pipeline's rules, n >= 2 among them, hold there; the pair is named here
+        precision = cv_star_pipeline([m.value for m in measurements], measurand.scale_min)
+    except QraError as exc:
+        raise type(exc)(f"({object_id}, {measurand_id}): {exc}") from exc
     return QraReport(
         object=dataset.object_by_id(object_id),
         measurand=measurand,

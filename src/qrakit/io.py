@@ -514,13 +514,17 @@ def _resolve_format(path: Path, fmt: str) -> str:
 def _read_dataset(path, fmt: str = "auto") -> QraDataset:
     """A dataset file, parsed, not validated, as it is read. On any fault it is
     read again whole by the reference reader, which gives the dataset or error
-    a whole-file read gives: a bad byte anywhere in the file comes first."""
+    a whole-file read gives: a bad byte anywhere in the file comes first. What
+    is not a regular file, such as a pipe, cannot be read twice: the reference
+    reader alone reads it, once."""
     path = Path(path)
     where = f"{path}: "
     is_csv = _resolve_format(path, fmt) == "csv"
     # a sidecar is read whole, and before its data file, in either read
     meta = _read_json(_meta_path(path)) if is_csv and _meta_path(path).exists() else None
     try:
+        if not path.is_file():
+            raise _Handoff
         with path.open(encoding=_ENCODING, newline="") as file:
             if is_csv:
                 return _dataset_from_csv(path, meta, file)

@@ -111,11 +111,16 @@ def _markdown_table(header, rows):
 _LINE_BREAK = re.compile(r"[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")  # where str.splitlines breaks
 
 
+def _one_line(text: str) -> str:
+    """``text`` with each line break written as its Python escape, such as ``\\n``."""
+    return _LINE_BREAK.sub(lambda m: repr(m[0])[1:-1], text)
+
+
 def _document(spec: RenderSpec, before, header, rows, after) -> str:
     """A text or markdown document: lines before, the table, lines after; breaks escaped."""
     if _LINE_BREAK.search("".join(map("".join, [before, header, *rows, after]))):
-        before, header, *rows, after = [[_LINE_BREAK.sub(lambda m: repr(m[0])[1:-1], c)
-                                         for c in cells] for cells in (before, header, *rows, after)]
+        before, header, *rows, after = [list(map(_one_line, cells))
+                                        for cells in (before, header, *rows, after)]
     table = _text_table if spec.format == "text" else _markdown_table
     return "\n".join([*before, *table(header, rows), *after]) + "\n"
 

@@ -41,6 +41,24 @@ def run_process(argv, stdout, **env):
     return proc.returncode, proc.stderr.decode("utf-8", "backslashreplace")
 
 
+def run_piped(argv, data: bytes):
+    """``qra`` in a fresh interpreter with ``data`` on a pipe into its stdin."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "qrakit.cli", *argv], input=data, capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(Path(qrakit.cli.__file__).parents[1])},
+        timeout=120)
+    return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
+
+
+@pytest.mark.parametrize("argv", [[], ["validate"], ["assess"], ["subgroup"], ["simulate"]],
+                         ids=lambda argv: argv[0] if argv else "qra")
+def test_help(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qra")
+
+
 class TestAssess:
     def test_builtin_emits_18_rows(self, capsys):
         code, out, _ = run(capsys, "assess", "--input", "builtin",
@@ -307,6 +325,22 @@ class TestValidate:
         assert exc.value.code == 2
         assert "[--format {csv,json,auto}]" in err
         assert "argument --format: invalid choice: 'xml'" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+class TestPipedInput:
+    """A pipe can be read only once, so it is read once, whole."""
+
+    def test_measurements_before_the_header(self):
+        obj = dataset_to_obj(bundled_paper_dataset())
+        data = json.dumps({"measurements": obj.pop("measurements"), **obj}).encode()
+        assert run_piped(["validate", "--input", "/dev/stdin", "--format", "json"], data) == (
+            0, "ok: 116 measurements, 18 (object, measurand) pairs\n", "")
+
+    def test_bad_csv_row(self):
+        data = b"object,measurand,value\nA,M,1.0\nA,M,high\n"
+        assert run_piped(["assess", "--input", "/dev/stdin", "--format", "csv"], data) == (
+            1, "", "error: /dev/stdin:3: could not convert string to float: 'high'\n")
 
 
 class TestBadInput:
@@ -599,7 +633,48 @@ class TestBadInput:
         for render in FORMATS:
             code, out, err = run(capsys, "assess", "--input", str(path), "--render", render)
             assert (code, out) == (3, "")
-            assert err.startswith(f"error: {message}: ") and len(err.splitlines()) == 1
+            assert err.startswith(f"error: (A, M): {message}: ") and len(err.splitlines()) == 1
+
+    def test_compute_error_names_its_pair(self, capsys, tmp_path):
+        path = tmp_path / "zero.csv"
+        path.write_text("object,measurand,value\nA,M,0\nA,M,0\nB,M,1\nB,M,2\n")
+        code, out, err = run(capsys, "assess", "--input", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: (A, M): shifted mean is 0") and len(err.splitlines()) == 1
+
+    @staticmethod
+    def line_break_dataset(tmp_path, declared):
+        """Pair ("X\nY", Clarity) has one value and pair (A, Clarity) two."""
+        path = tmp_path / "break.json"
+        path.write_text(json.dumps({
+            "schema": {"conditions": []},
+            "objects": [{"id": "A"}, *([{"id": "X\nY"}] if declared else [])],
+            "measurands": [{"id": "Clarity"}],
+            "measurements": [{"object": o, "measurand": "Clarity", "value": v}
+                             for o, v in (("X\nY", 1.0), ("A", 1.0), ("A", 2.0))],
+        }), encoding="utf-8")
+        return path
+
+    def test_line_break_in_an_id_stays_on_one_line(self, capsys, tmp_path):
+        path = self.line_break_dataset(tmp_path, declared=False)
+        code, out, err = run(capsys, "assess", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == (f"error: {path}: measurement 1 (X\\nY, Clarity): "
+                       "references undeclared object 'X\\nY'\n")
+        code, out, _ = run(capsys, "validate", "--input", str(path))
+        assert (code, out) == (1, "error: measurement 1 (X\\nY, Clarity): "
+                                  "references undeclared object 'X\\nY'\n")
+
+        path = self.line_break_dataset(tmp_path, declared=True)
+        code, _, err = run(capsys, "assess", "--input", str(path))
+        assert (code, err) == (0, "note: (X\\nY, Clarity) skipped: only 1 measurement; "
+                                  "need at least 2\n")
+        code, out, _ = run(capsys, "validate", "--input", str(path))
+        assert code == 0
+        assert out.splitlines() == [
+            "warning: (X\\nY, Clarity): only one measurement; pair is not assessable "
+            "(n >= 2 required)",
+            "ok: 3 measurements, 2 (object, measurand) pairs"]
 
     @pytest.mark.parametrize("name, content", [
         ("latin1.json", b'{"schema": {"conditions": []}, "objects": [{"id": "caf\xe9"}]}'),
@@ -672,6 +747,15 @@ class TestBadInput:
         finally:
             os.close(write_end)
         assert (code, err) == (2, "error: stdout: Broken pipe\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["assess", "--input", "builtin"],
+        ["simulate", "--n", "3", "--sigma", "1", "--trials", "10", "--seed", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_empty_out_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--out", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --out ") and len(err.splitlines()) == 1
 
     def test_out_into_missing_directory(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.txt"

@@ -2,6 +2,7 @@ import datetime
 import inspect
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,11 +21,14 @@ from qrakit.engine import (
     subgroup_assess,
 )
 from qrakit.errors import (
+    DegenerateMean,
     EmptyGroup,
     InvalidSampleSize,
     MixedGroup,
+    NonFiniteResult,
     UnknownMeasurand,
     UnknownObject,
+    ValueBelowScale,
 )
 from qrakit.io import bundled_paper_dataset
 from qrakit.model import (
@@ -182,6 +186,34 @@ class TestRunQraTest:
         dataset = tiny_dataset([all_same_row()])
         with pytest.raises(InvalidSampleSize):
             run_qra_test(dataset, "sys", "score")
+
+    @staticmethod
+    def two_pairs(values, scale_min=0.0):
+        """Pair (A, M) holds ``values``; pair (B, M) holds 1.0 and 2.0."""
+        measurements = tuple(make_measurement(o, "M", v, schema=SCHEMA) for o, v in
+                             [*(("A", v) for v in values), ("B", 1.0), ("B", 2.0)])
+        return QraDataset(schema=SCHEMA, objects=(ObjectRef("A", "A"), ObjectRef("B", "B")),
+                          measurands=(Measurand("M", "M", "", scale_min=scale_min),),
+                          measurements=measurements)
+
+    def test_single_measurement_error_names_the_pair(self):
+        dataset = self.two_pairs([])._replace(
+            measurements=(make_measurement("B", "M", 1.0, schema=SCHEMA),))
+        with pytest.raises(InvalidSampleSize, match=r"^\(B, M\): need at least 2 values, got 1$"):
+            run_qra_test(dataset, "B", "M")
+
+    @pytest.mark.parametrize("values, scale_min, error, message", [
+        ((0.0, 0.0), 0.0, DegenerateMean, "shifted mean is 0"),
+        ((-1.0, 1.0), 0.0, ValueBelowScale, "value -1.0 below scale minimum 0.0"),
+        ((1.7e308, 1e308), -1e308, NonFiniteResult, "mean is inf: "),
+    ], ids=["zero_mean", "below_scale", "past_the_float_range"])
+    def test_every_compute_error_names_the_pair(self, values, scale_min, error, message):
+        dataset = self.two_pairs(values, scale_min)
+        with pytest.raises(error, match="^" + re.escape(f"(A, M): {message}")) as raised:
+            run_qra_test(dataset, "A", "M")
+        assert isinstance(raised.value.__cause__, error)
+        with pytest.raises(error, match=r"^\(A, M\): "):
+            assess_all(dataset)
 
 
 class TestAssessAll:
