@@ -46,6 +46,7 @@ class QraReport(namedtuple("QraReport", "object measurand measurements diff clas
 
 
 _OBJECT_AND_MEASURAND = attrgetter("object", "measurand")
+_VALUE = attrgetter("value")
 
 
 def condition_diff(measurements, schema: ConditionSchema) -> ConditionDiffMatrix:
@@ -62,11 +63,11 @@ def condition_diff(measurements, schema: ConditionSchema) -> ConditionDiffMatrix
 
     names = schema.names
     rows = tuple(m.labels_in(names) for m in measurements)
-    verdicts = {}
+    verdicts, n = {}, len(rows)
     for name, column in zip(names, zip(*rows)):
         if None in column:
             verdicts[name] = HAS_UNKNOWN
-        elif column.count(column[0]) < len(column):
+        elif column.count(column[0]) < n:
             verdicts[name] = DIFFERS
         else:
             verdicts[name] = ALL_SAME
@@ -87,18 +88,11 @@ def _assess(dataset, object_id, measurand_id, measurements, excluded=()):
     measurand = dataset.measurand_by_id(measurand_id)
     diff = condition_diff(measurements, dataset.schema)
     try:  # the pipeline's rules, n >= 2 among them, hold there; the pair is named here
-        precision = cv_star_pipeline([m.value for m in measurements], measurand.scale_min)
+        precision = cv_star_pipeline(map(_VALUE, measurements), measurand.scale_min)
     except QraError as exc:
         raise type(exc)(f"({object_id}, {measurand_id}): {exc}") from exc
-    return QraReport(
-        object=dataset.object_by_id(object_id),
-        measurand=measurand,
-        measurements=tuple(measurements),
-        diff=diff,
-        classification=classify(diff),
-        precision=precision,
-        excluded=tuple(excluded),
-    )
+    return QraReport(dataset.object_by_id(object_id), measurand, tuple(measurements), diff,
+                     classify(diff), precision, tuple(excluded))
 
 
 def run_qra_test(dataset: QraDataset, object_id: str, measurand_id: str) -> QraReport:

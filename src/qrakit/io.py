@@ -14,6 +14,7 @@ import datetime
 import json
 import re
 from io import StringIO
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import EncodeError, ParseError, QraError, SchemaError, ValidationError
@@ -468,6 +469,9 @@ def _dataset_from_csv(path: Path, meta, file) -> QraDataset:
         obj, measurand, value = column["object"], column["measurand"], column["value"]
         source, timestamp = column.get("source"), column.get("timestamp")
         conditions = [column[_COND_PREFIX + name] for name in schema.names]
+        # a row's condition cells; itemgetter of one index gives a bare cell, of none an error
+        cells = (itemgetter(*conditions) if len(conditions) > 1
+                 else lambda r: tuple(map(r.__getitem__, conditions)))
         width = len(fields)
 
         def rows():
@@ -478,8 +482,7 @@ def _dataset_from_csv(path: Path, meta, file) -> QraDataset:
                     raise ValueError(f"row has {len(r)} cells, header has {width}")
                 yield (r[obj], r[measurand], float(r[value]),
                        "" if source is None else r[source],
-                       None if timestamp is None else r[timestamp],
-                       [r[i] for i in conditions])
+                       None if timestamp is None else r[timestamp], cells(r))
 
         # a row is reported at the line on which its record ends
         measurements = _measurements(rows(), schema, lambda _: f"{path}:{reader.line_num}: ")

@@ -158,6 +158,8 @@ def known(label: str) -> ConditionValue:
 
 # the exact types of a label, and of a name, that ``Measurement``'s fast path passes
 _LABEL_TYPES, _NAME_TYPES = frozenset((str, type(None))), frozenset((str,))
+# the last names tuple a ``Measurement`` was built with: checked, and a tuple cannot change
+_checked_names = [()]
 
 
 def _check_conditions(names, labels) -> None:
@@ -189,16 +191,22 @@ class Measurement(namedtuple("Measurement", "object measurand value names labels
     _make = _checked_make
 
     def __new__(cls, object, measurand, value, names, labels, source="", timestamp=None):
-        _check_str("object id", object)
-        _check_str("measurand id", measurand)
-        value = _number("value", value)
+        # exact types pass on one test each; any other value takes the full check
+        if not (type(object) is str and object):
+            _check_str("object id", object)
+        if not (type(measurand) is str and measurand):
+            _check_str("measurand id", measurand)
+        if type(value) is not float:
+            value = _number("value", value)
         names, labels = tuple(names), tuple(labels)  # a tuple is kept as it is
         if len(labels) != len(names):
             raise ValueError(f"{len(labels)} labels for {len(names)} condition names")
-        # one C-level pass for the usual row; only a row that fails it is walked
+        # one C-level pass for the usual row, none over names already checked
         if not (_LABEL_TYPES.issuperset(map(type, labels)) and "" not in labels
-                and _NAME_TYPES.issuperset(map(type, names)) and "" not in names):
+                and (names is _checked_names[0]
+                     or _NAME_TYPES.issuperset(map(type, names)) and "" not in names)):
             _check_conditions(names, labels)
+        _checked_names[0] = names
         if source is None:
             source = ""
         elif not isinstance(source, str):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from operator import countOf, mul
 
 from .errors import (
     DegenerateMean,
@@ -72,16 +73,21 @@ class PrecisionResult(namedtuple("PrecisionResult", "n mean s s_star se_s_star c
 
 def shift_values(values, scale_min):
     """Translate values so the scale's lower end sits at 0."""
+    values = list(values)  # read once: an iterator is checked and shifted
+    _check_scale(values, scale_min)
+    return [v - scale_min for v in values]
+
+
+def _check_scale(values, scale_min) -> None:
     for v in values:
         if v < scale_min:
             raise ValueBelowScale(f"value {v} below scale minimum {scale_min}")
-    return [v - scale_min for v in values]
 
 
 def c4(n: int) -> float:
     """Normal-theory bias correction constant satisfying E[s] = c4(n) * sigma."""
-    if n < 2:
-        raise InvalidSampleSize(f"c4 requires n >= 2, got {n}")
+    if not 2 <= n < math.inf:  # written so that a NaN n fails it
+        raise InvalidSampleSize(f"c4 requires a finite n >= 2, got {n}")
     # lgamma keeps this stable for large n where Gamma overflows
     return math.sqrt(2.0 / (n - 1)) * math.exp(
         math.lgamma(n / 2.0) - math.lgamma((n - 1) / 2.0)
@@ -94,19 +100,20 @@ def sample_stats(shifted):
     if n < 2:
         raise InvalidSampleSize(f"need at least 2 values, got {n}")
     first = shifted[0]
-    if all(v == first for v in shifted):
+    # every v == first: countOf takes v is first as equal, so a NaN first is tested apart
+    if first == first and countOf(shifted, first) == n:
         # keep constant samples exact: s is 0, not rounding noise
         return first, 0.0
     mean = math.fsum(shifted) / n
     # d * d, not d ** 2: libm's pow is not always correctly rounded, so only
     # the product keeps its bits under the power-of-two scaling upstream
-    ss = math.fsum(d * d for d in [v - mean for v in shifted])
-    return mean, math.sqrt(ss / (n - 1))
+    deviations = [v - mean for v in shifted]
+    return mean, math.sqrt(math.fsum(map(mul, deviations, deviations)) / (n - 1))
 
 
 def unbiased_stdev(s: float, n: int) -> float:
     """De-biased standard deviation s* = s / c4(n)."""
-    if n < 2:
+    if not n >= 2:
         raise InvalidSampleSize(f"need n >= 2, got {n}")
     return s / c4(n)
 
@@ -117,7 +124,7 @@ def stdev_stderr(s: float, s_star: float, n: int) -> float:
     se(s^2) = sqrt(2 sigma^4 / (n-1)) evaluated at sigma = s, divided by
     2 s*. A zero-spread sample yields 0 (the CI collapses to a point).
     """
-    if n < 2:
+    if not n >= 2:
         raise InvalidSampleSize(f"need n >= 2, got {n}")
     if s_star == 0.0:
         return 0.0
@@ -128,7 +135,7 @@ def t_quantile(p: float, df: int) -> float:
     """Inverse CDF of Student's t with ``df`` degrees of freedom."""
     if not 0.0 < p < 1.0:
         raise InvalidProbability(f"p must be in (0, 1), got {p}")
-    if df < 1:
+    if not df >= 1:
         raise InvalidDf(f"df must be >= 1, got {df}")
     if p == 0.975 and df in _T_975:
         return _T_975[df]
@@ -140,7 +147,7 @@ def t_quantile(p: float, df: int) -> float:
 
 def stdev_ci95(s_star: float, se: float, n: int) -> tuple[float, float]:
     """Two-sided 95% confidence interval for s*, symmetric about s*."""
-    if n < 2:
+    if not n >= 2:
         raise InvalidSampleSize(f"need n >= 2, got {n}")
     half = t_quantile(0.975, n - 1) * se
     return (s_star - half, s_star + half)
@@ -155,14 +162,15 @@ def _unscaled(x: float, e: int) -> float:
 
 
 def cv_star_pipeline(values, scale_min=0.0) -> PrecisionResult:
-    """Full precision computation for one group of raw scores."""
-    shift_values(values, scale_min)  # for its ValueBelowScale check, on the unscaled values
+    """Full precision computation for one group of raw scores, any iterable of numbers."""
+    values = list(values)  # read once
+    _check_scale(values, scale_min)  # on the unscaled values
     # Work on the values and scale_min scaled by 2**-e, which puts the largest
     # magnitude among them in [0.5, 1), so neither the shift nor a square
     # overflows, and scale back at the end. Powers of two scale exactly, so
     # moderate inputs keep the bits of unscaled arithmetic; CV and CV* are
     # ratios and need no unscaling.
-    e = math.frexp(max(abs(scale_min), max(map(abs, values), default=0.0)))[1]
+    e = math.frexp(max(abs(scale_min), max(map(abs, values)) if values else 0.0))[1]
     low = math.ldexp(scale_min, -e)
     mean, s = sample_stats([math.ldexp(v, -e) - low for v in values])
     if mean == 0.0:
@@ -173,15 +181,14 @@ def cv_star_pipeline(values, scale_min=0.0) -> PrecisionResult:
     lo, hi = stdev_ci95(s_star, se, n)
     cv = 100.0 * s_star / mean
     cv_star = (1.0 + 1.0 / (4.0 * n)) * cv
-    result = PrecisionResult(
-        n=n, mean=_unscaled(mean, e), s=_unscaled(s, e), s_star=_unscaled(s_star, e),
-        se_s_star=_unscaled(se, e), ci95=(_unscaled(lo, e), _unscaled(hi, e)),
-        cv=cv, cv_star=cv_star, degenerate_spread=(s == 0.0))
-    for name, value in (("mean", result.mean), ("s*", result.s_star),
-                        ("se(s*)", result.se_s_star),
-                        ("CI lower bound", result.ci95[0]),
-                        ("CI upper bound", result.ci95[1]), ("CV", cv), ("CV*", cv_star)):
-        if not math.isfinite(value):
-            raise NonFiniteResult(f"{name} is {value}: the values are not finite "
-                                  "or too close to the top of the float range")
+    result = PrecisionResult(n, _unscaled(mean, e), _unscaled(s, e), _unscaled(s_star, e),
+                             _unscaled(se, e), (_unscaled(lo, e), _unscaled(hi, e)),
+                             cv, cv_star, s == 0.0)
+    checked = (result.mean, result.s_star, result.se_s_star, *result.ci95, cv, cv_star)
+    if not all(map(math.isfinite, checked)):  # one C-level pass; the loop names a failure
+        for name, value in zip(("mean", "s*", "se(s*)", "CI lower bound", "CI upper bound",
+                                "CV", "CV*"), checked):
+            if not math.isfinite(value):
+                raise NonFiniteResult(f"{name} is {value}: the values are not finite "
+                                      "or too close to the top of the float range")
     return result

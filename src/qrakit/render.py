@@ -39,18 +39,19 @@ class RenderSpec(namedtuple("RenderSpec", "format")):
 def _result(report: QraReport) -> dict:
     """A report's row of the precision table; every format lays it out."""
     # keys listed, not PrecisionResult._fields, so a field added there stays out of JSON
+    precision = report.precision
     return {
         "object": report.object.id,
         "measurand": report.measurand.id,
         "values": [m.value for m in report.measurements],
-        "n": report.precision.n,
-        "mean": report.precision.mean,
-        "s": report.precision.s,
-        "s_star": report.precision.s_star,
-        "se_s_star": report.precision.se_s_star,
-        "ci95": list(report.precision.ci95),
-        "cv": report.precision.cv,
-        "cv_star": report.precision.cv_star,
+        "n": precision.n,
+        "mean": precision.mean,
+        "s": precision.s,
+        "s_star": precision.s_star,
+        "se_s_star": precision.se_s_star,
+        "ci95": list(precision.ci95),
+        "cv": precision.cv,
+        "cv_star": precision.cv_star,
         "classification": report.classification,
     }
 
@@ -87,13 +88,10 @@ _TABLE_HEADER = ["object", "measurand", "values", "n", "mean", "stdev",
 
 
 def _text_table(header, rows):
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows)) if rows
-              else len(header[i]) for i in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    for r in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    return lines
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    return ["  ".join(map(str.ljust, header, widths)).rstrip(),
+            "  ".join("-" * w for w in widths),
+            *("  ".join(map(str.ljust, r, widths)).rstrip() for r in rows)]
 
 
 def _csv_table(rows) -> str:
@@ -129,9 +127,9 @@ def render_precision_table(reports, spec: RenderSpec = RenderSpec()) -> str:
     """One row per report: sample, de-biased stdev with CI, and CV*."""
     if not reports:
         raise ValueError("no reports to render")
-    results = [_result(r) for r in reports]
+    results = map(_result, reports)  # each record is built as its row is laid out
     if spec.format == "json":
-        return json.dumps({"results": results, "caveats": [NORMALITY_CAVEAT]}, indent=2) + "\n"
+        return json.dumps({"results": [*results], "caveats": [NORMALITY_CAVEAT]}, indent=2) + "\n"
     rows = _rows(results)
     if spec.format == "csv":
         return _csv_table([PRECISION_CSV_HEADER,

@@ -14,6 +14,8 @@ from qrakit.engine import (
     INDETERMINATE,
     REPEATABILITY,
     REPRODUCIBILITY,
+    ConditionDiffMatrix,
+    QraReport,
     assess_all,
     classify,
     condition_diff,
@@ -41,6 +43,14 @@ from qrakit.model import (
     default_condition_schema,
     group,
     make_measurement,
+)
+from qrakit.precision import (
+    PrecisionResult,
+    sample_stats,
+    shift_values,
+    stdev_ci95,
+    stdev_stderr,
+    unbiased_stdev,
 )
 from qrakit.render import RenderSpec
 from qrakit.sim import SimResult
@@ -438,6 +448,71 @@ class TestConditionDiffReference:
             condition_diff(mixed, SCHEMA)
         assert str(exc.value) == ("group mixes several (object, measurand) pairs: "
                                   "[('A', 'M'), ('A', 'N'), ('B', 'M')]")
+
+
+def reference_precision(values, scale_min):
+    """The pipeline's statistics from the public helpers, on the unscaled values,
+    whose bits moderate inputs keep."""
+    n = len(values)
+    mean, s = sample_stats(shift_values(values, scale_min))
+    s_star = unbiased_stdev(s, n)
+    se = stdev_stderr(s, s_star, n)
+    cv = 100.0 * s_star / mean
+    return PrecisionResult(n, mean, s, s_star, se, stdev_ci95(s_star, se, n), cv,
+                           (1.0 + 1.0 / (4.0 * n)) * cv, s == 0.0)
+
+
+def reference_report(dataset, obj, meas):
+    """``run_qra_test``'s report, built with one ``Measurement.label`` scan per name."""
+    members = [m for m in dataset.measurements if (m.object, m.measurand) == (obj, meas)]
+    names = dataset.schema.names
+    verdicts = {}
+    for name in names:
+        labels = [m.label(name) for m in members]
+        verdicts[name] = (HAS_UNKNOWN if None in labels
+                          else DIFFERS if len(set(labels)) > 1 else ALL_SAME)
+    measurand = dataset.measurand_by_id(meas)
+    diff = ConditionDiffMatrix(names, tuple(tuple(map(m.label, names)) for m in members),
+                               verdicts)
+    return QraReport(dataset.object_by_id(obj), measurand, tuple(members), diff,
+                     set_based_classify(verdicts),
+                     reference_precision([m.value for m in members], measurand.scale_min))
+
+
+def corpus(seed=11, pairs=150):
+    """Many pairs with n = 2 to 10, shuffled together, on two scales, with some
+    Unknown labels, some constant samples and some groups where every label agrees."""
+    rng = random.Random(seed)
+    measurands = (Measurand("BLEU", "BLEU", ""), Measurand("Clarity", "Clarity", "", 1.0, 7.0))
+    objects = tuple(ObjectRef(f"system-{i}", f"System {i}") for i in range(pairs // 2))
+    rows = []
+    for i in range(pairs):
+        obj, measurand = objects[i // 2].id, measurands[i % 2]
+        lo, hi = (20.0, 40.0) if measurand.id == "BLEU" else (1.0, 7.0)
+        constant, agreed = i % 13 == 0, i % 7 == 0
+        for _ in range(2 + i % 9):
+            value = lo + 1.0 if constant else round(rng.uniform(lo, hi), 2)
+            labels = {name: "lab" if agreed else rng.choice(("lab-a", "team 3", "Équipe", None))
+                      for name in SCHEMA.names}
+            rows.append(make_measurement(obj, measurand.id, value, labels, schema=SCHEMA))
+    rng.shuffle(rows)
+    return QraDataset(SCHEMA, objects, measurands, rows)
+
+
+class TestCorpusScale:
+    """The golden files pin the 18 bundled pairs; this pins every report on a
+    corpus of many small groups against a reference built apart."""
+
+    def test_every_report_equals_the_reference(self):
+        dataset = corpus()
+        reports = [run_qra_test(dataset, obj, meas) for obj, meas in dataset.pairs()]
+        for report in reports:
+            assert report == reference_report(dataset, report.object.id, report.measurand.id)
+        assert len(reports) == 150
+        assert {report.precision.n for report in reports} == set(range(2, 11))
+        assert {report.classification for report in reports} == {
+            REPEATABILITY, REPRODUCIBILITY, INDETERMINATE}
+        assert any(report.precision.degenerate_spread for report in reports)
 
 
 def sample_report():

@@ -3,6 +3,7 @@ import csv
 import datetime
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -758,6 +759,24 @@ class TestConditionCells:
         assert len(labels) == 7000 and len(set(known)) == 4
         assert len({id(label) for label in known}) <= len(set(known))
 
+    @pytest.mark.parametrize("conditions", [(), ("lab",)], ids=["none", "one"])
+    @pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "no_sidecar"])
+    def test_csv_with_no_or_one_condition_column(self, tmp_path, conditions, sidecar):
+        """The reader takes a row's condition cells with one itemgetter, which
+        gives a bare cell, not a tuple, for one index and takes no zero."""
+        schema = ConditionSchema([(name, MEASUREMENT_PROCEDURE) for name in conditions])
+        labels = [("x",), (None,), ("y, z",)] if conditions else [(), (), ()]
+        rows = tuple(Measurement("A", "M", float(v), schema.names, row, "paper")
+                     for v, row in enumerate(labels, start=1))
+        dataset = QraDataset(schema, (ObjectRef("A", "A"),), (Measurand("M", "M", ""),), rows)
+        path = tmp_path / "data.csv"
+        save_dataset(dataset, path)
+        if not sidecar:
+            (tmp_path / "data.meta.json").unlink()
+        loaded = load_dataset(path)
+        assert loaded.schema == schema and loaded.measurements == rows
+        assert [type(m.labels) for m in loaded.measurements] == [tuple] * 3
+
 
 class TestCsvReaderParity:
     """Each CSV layout loads equal to its JSON twin."""
@@ -984,6 +1003,86 @@ class TestConditionRule:
         loaded = load_dataset(tmp_path / name)
         assert loaded == dataset
         assert {type(label) for m in loaded.measurements for label in m.labels} == {str}
+
+
+class Text(str):
+    """A str subclass: ``Measurement``'s exact-type tests leave it to the full checks."""
+
+
+class Real(float):
+    pass
+
+
+def built(m, **changes):
+    """What ``Measurement(...)``, ``_make`` and ``_replace`` build for ``m`` with ``changes``."""
+    fields = m._asdict() | changes
+    return [Measurement(**fields), Measurement._make(fields.values()), m._replace(**changes)]
+
+
+class TestRowRuleFallbacks:
+    """``Measurement`` passes a field of the usual exact type on one test, and any
+    other value to the full checks, so these rows are built or refused as those
+    checks decide."""
+
+    ROW = Measurement("a", "score", 1.0, ("lab", "test_set"), ("x", None), "paper", None)
+
+    @pytest.mark.parametrize("field", ["object", "measurand", "source"])
+    def test_a_str_subclass_is_stored_as_it_is(self, field):
+        value = Text("z")
+        for m in built(self.ROW, **{field: value}):
+            assert getattr(m, field) is value and m == self.ROW._replace(**{field: "z"})
+
+    def test_a_str_subclass_name_and_label_are_stored_as_they_are(self):
+        name, label = Text("lab"), Text("x")
+        for m in built(self.ROW, names=(name, "test_set"), labels=(label, None)):
+            assert m.names[0] is name and m.labels[0] is label and m == self.ROW
+
+    @pytest.mark.parametrize("field, error, message", [
+        ("object", ValueError, "object id must be non-empty"),
+        ("measurand", ValueError, "measurand id must be non-empty"),
+        ("names", ValueError, "condition name must be non-empty"),
+        ("labels", ValueError, "known condition labels must be non-empty"),
+    ])
+    def test_an_empty_str_subclass_is_refused(self, field, error, message):
+        empty = Text("")
+        value = {"names": ("lab", empty), "labels": (empty, None)}.get(field, empty)
+        assert_refused(self.ROW, error, message, **{field: value})
+
+    @pytest.mark.parametrize("value", [7, Real(2.5), -0.0, 10**20], ids=["int", "float_subclass",
+                                                                       "minus_zero", "big_int"])
+    def test_a_number_is_stored_as_a_float(self, value):
+        for m in built(self.ROW, value=value):
+            assert type(m.value) is float and m.value == float(value)
+            assert math.copysign(1.0, m.value) == math.copysign(1.0, value)
+
+    @pytest.mark.parametrize("value", [True, False, "5", Text("5")], ids=["true", "false",
+                                                                          "str", "str_subclass"])
+    def test_a_bool_or_a_str_value_is_refused(self, value):
+        assert_refused(self.ROW, TypeError,
+                       f"value must be a number, not {type(value).__name__}", value=value)
+
+    def test_lists_are_stored_as_tuples(self):
+        for m in built(self.ROW, names=["lab", "test_set"], labels=["x", None]):
+            assert type(m.names) is tuple and type(m.labels) is tuple and m == self.ROW
+
+    @pytest.mark.parametrize("name, error, message", [
+        (5, TypeError, "condition name must be a string, not int"),
+        ("", ValueError, "condition name must be non-empty"),
+    ])
+    def test_a_bad_names_tuple_is_refused_every_time(self, name, error, message):
+        names = ("lab", name)
+        for _ in range(2):  # a row with good names is built in between
+            assert Measurement("a", "score", 1.0, self.ROW.names, ("x", None), "paper") == self.ROW
+            assert_refused(self.ROW, error, message, names=names)
+
+    def test_the_labels_of_every_row_are_checked(self):
+        names = default_condition_schema().names  # checked once, then not walked again
+        m = Measurement("a", "score", 1.0, names, (None,) * 7)
+        assert_refused(m, TypeError, "condition label must be a string or null, not int",
+                       labels=(5,) + (None,) * 6)
+        assert_refused(m, ValueError, "known condition labels must be non-empty",
+                       labels=(None,) * 6 + ("",))
+        assert_refused(m, ValueError, "6 labels for 7 condition names", labels=(None,) * 6)
 
 
 class TestLoadErrors:

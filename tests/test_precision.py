@@ -77,6 +77,40 @@ class TestC4:
             c4(1)
 
 
+class TestNoSilentNaN:
+    """``n < 2`` and ``df < 1`` are False for NaN; each helper's check is written so
+    that a NaN fails it, with the error a too small n or df gives."""
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf, 1, 1.5],
+                             ids=["nan", "inf", "-inf", "1", "1.5"])
+    def test_c4(self, n):
+        with pytest.raises(InvalidSampleSize, match=r"^c4 requires a finite n >= 2, got "):
+            c4(n)
+
+    def test_unbiased_stdev(self):
+        with pytest.raises(InvalidSampleSize, match="^need n >= 2, got nan$"):
+            unbiased_stdev(1.0, math.nan)
+
+    def test_stdev_stderr(self):
+        with pytest.raises(InvalidSampleSize, match="^need n >= 2, got nan$"):
+            stdev_stderr(1.0, 1.0, math.nan)
+
+    def test_stdev_ci95(self):
+        with pytest.raises(InvalidSampleSize, match="^need n >= 2, got nan$"):
+            stdev_ci95(1.0, 0.5, math.nan)
+
+    def test_t_quantile(self):
+        with pytest.raises(InvalidDf, match="^df must be >= 1, got nan$"):
+            t_quantile(0.975, math.nan)
+        assert t_quantile(0.975, math.inf) == 1.9599639845400538
+
+    def test_sample_stats_keeps_nan(self):
+        # a NaN is not equal to itself, so a sample of one NaN object is no constant one
+        nan = math.nan
+        mean, s = sample_stats([nan, nan])
+        assert math.isnan(mean) and math.isnan(s)
+
+
 class TestSampleStats:
     def test_two_point_closed_form(self):
         mean, s = sample_stats([4.64, 5.30])
@@ -263,6 +297,24 @@ class TestCvStarPipeline:
         assert result.cv_star == 0.0
         assert result.degenerate_spread
         assert result.ci95 == (0.0, 0.0)
+
+    def test_any_iterable_is_read_once(self):
+        expected = cv_star_pipeline([1.0, 2.0, 3.0])
+        assert expected.n == 3 and round(expected.cv_star, 2) == 61.12
+        assert cv_star_pipeline(x for x in [1.0, 2.0, 3.0]) == expected
+        assert cv_star_pipeline((1.0, 2.0, 3.0)) == expected
+        assert cv_star_pipeline(iter([2.0, 3.0, 4.0]), 1.0) == expected
+        assert shift_values((x for x in [2.0, 3.0]), 1.0) == [1.0, 2.0]
+
+    def test_a_value_below_the_scale_is_named_from_an_iterator(self):
+        with pytest.raises(ValueBelowScale, match="^value 0.5 below scale minimum 1.0$"):
+            cv_star_pipeline(iter([2.0, 0.5, 3.0]), 1.0)
+
+    def test_nan_values_are_a_non_finite_result(self):
+        # a NaN first value is no constant sample, and none is below the scale
+        for values in ([math.nan, math.nan], [math.nan, 1.0], [1.0, math.nan]):
+            with pytest.raises(NonFiniteResult, match="^mean is nan: "):
+                cv_star_pipeline(values, 0.0)
 
 
 values_strategy = st.lists(

@@ -1,9 +1,11 @@
 """perfbench's tracer finds every function that its layers name, and sees
 every table that ``qra`` prints.
 
-A function moved to another module, or a table rendered past the traced
-functions, leaves its layer without spans, and the layer's per-layer metric
-then reads 0 without a word; these tests fail first.
+A function moved to another module, a table rendered past the traced
+functions, or an engine that routes around a traced function (reading
+``_T_975`` instead of calling ``t_quantile``, say) leaves its layer without
+spans, and the layer's per-layer metric then reads 0 without a word; these
+tests fail first.
 """
 import importlib
 from pathlib import Path
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import qrakit.cli  # the tracer wraps modules that are loaded
+import qrakit.engine
 import qrakit.io
 import qrakit.model
 import qrakit.sim  # noqa: F401
@@ -52,3 +55,19 @@ def test_render_layer_sees_every_table_qra_prints(tracer, capsys, fmt):
     # one precision table and 18 condition matrices, joined by 18 newlines
     assert render["calls"] == 19
     assert render["bytes"] == len(out.encode("utf-8")) - 18
+
+
+def test_the_engine_goes_through_every_traced_layer(tracer):
+    """Each assessed pair is one span of each layer on its path."""
+    dataset = qrakit.io.bundled_paper_dataset()
+    tracer.install()
+    try:
+        for obj, meas in dataset.pairs():
+            qrakit.engine.run_qra_test(dataset, obj, meas)
+        totals = tracer.take()
+    finally:
+        tracer.uninstall()
+    assert len(dataset.pairs()) == 18
+    for layer in ("engine.assess", "model.group", "engine.condition_diff",
+                  "precision.pipeline", "precision.t_quantile"):
+        assert totals[layer]["calls"] == 18, layer
