@@ -430,7 +430,6 @@ def _dataset_to_csv(dataset: QraDataset):
 
 def _dataset_from_csv(path: Path, meta, file) -> QraDataset:
     """The dataset of ``path``'s CSV text in ``file`` and its sidecar ``meta``."""
-    meta_path = _meta_path(path)
     reader = csv.reader(file)
     try:
         fields = next(reader, None)
@@ -442,29 +441,26 @@ def _dataset_from_csv(path: Path, meta, file) -> QraDataset:
         for col in ("object", "measurand", "value"):
             if col not in fields:
                 raise SchemaError(f"{path}: missing required column {col!r}")
-        if meta is not None:
-            schema, objects, measurands = _header_from_obj(meta, f"{meta_path}: ")
-            for name in schema.names:
-                if _COND_PREFIX + name not in fields:
-                    raise SchemaError(f"{path}: no column {_COND_PREFIX + name!r} for "
-                                      f"condition {name!r} declared in {meta_path}")
-            undeclared = next((f for f in fields if f.startswith(_COND_PREFIX)
-                               and f[len(_COND_PREFIX):] not in schema.names), None)
-            if undeclared is not None:
-                raise SchemaError(f"{path}: column {undeclared!r} names no condition "
-                                  f"declared in {meta_path}")
-        else:
-            # no sidecar: the schema comes from the header; the objects and
-            # measurands come from the measurements, once they are built
-            default_categories = dict(default_condition_schema().conditions)
-            try:
-                schema = ConditionSchema(conditions=tuple(
-                    (name, default_categories.get(name, "measurement_procedure"))
-                    for name in (f[len(_COND_PREFIX):] for f in fields
-                                 if f.startswith(_COND_PREFIX))
-                ))
-            except ValueError as exc:  # a bare "cond." column
-                raise SchemaError(f"{path}: {exc}") from exc
+        # no sidecar: the cond. columns are the schema, and the objects and
+        # measurands come from the measurements, once they are built
+        from_rows = meta is None
+        declared_in = path if from_rows else _meta_path(path)
+        if from_rows:
+            categories = dict(default_condition_schema().conditions)
+            meta = {"schema": {"conditions": [
+                {"name": name, "category": categories.get(name, "measurement_procedure")}
+                for name in (f[len(_COND_PREFIX):] for f in fields if f.startswith(_COND_PREFIX))
+            ]}, "objects": [], "measurands": []}
+        schema, objects, measurands = _header_from_obj(meta, f"{declared_in}: ")
+        for name in schema.names:
+            if _COND_PREFIX + name not in fields:
+                raise SchemaError(f"{path}: no column {_COND_PREFIX + name!r} for "
+                                  f"condition {name!r} declared in {declared_in}")
+        undeclared = next((f for f in fields if f.startswith(_COND_PREFIX)
+                           and f[len(_COND_PREFIX):] not in schema.names), None)
+        if undeclared is not None:
+            raise SchemaError(f"{path}: column {undeclared!r} names no condition "
+                              f"declared in {declared_in}")
         column = {field: i for i, field in enumerate(fields)}
         obj, measurand, value = column["object"], column["measurand"], column["value"]
         source, timestamp = column.get("source"), column.get("timestamp")
@@ -488,7 +484,7 @@ def _dataset_from_csv(path: Path, meta, file) -> QraDataset:
         measurements = _measurements(rows(), schema, lambda _: f"{path}:{reader.line_num}: ")
     except csv.Error as exc:  # no line: line_num may not have reached the bad line
         raise ParseError(f"{path}: {exc}") from exc
-    if meta is None:
+    if from_rows:
         objects = tuple(ObjectRef(id=o, display_name=o)
                         for o in dict.fromkeys(m.object for m in measurements))
         measurands = tuple(Measurand(id=m, display_name=m, unit="")

@@ -26,9 +26,18 @@ def simulate(n: int, sigma: float, trials: int, seed: int) -> SimResult:
     from zero. Sampling uses numpy's seeded PCG64 generator, so results are
     fully determined by the seed.
     """
+    for name, value in (("n", n), ("trials", trials), ("seed", seed)):
+        if isinstance(value, bool) or not hasattr(value, "__index__"):  # numpy integers pass
+            raise InvalidParameters(f"{name} must be an integer, not {type(value).__name__}")
+    try:
+        finite = math.isfinite(sigma)
+    except TypeError:
+        raise InvalidParameters(f"sigma must be a number, not {type(sigma).__name__}") from None
+    except OverflowError:  # an int past the float range
+        finite = False
     if n < 2:
         raise InvalidParameters(f"n must be >= 2, got {n}")
-    if not (math.isfinite(sigma) and sigma > 0):
+    if not (finite and sigma > 0):
         raise InvalidParameters(f"sigma must be finite and > 0, got {sigma}")
     if trials < 1:
         raise InvalidParameters(f"trials must be >= 1, got {trials}")

@@ -1210,18 +1210,38 @@ class TestLoadErrors:
         assert str(exc.value) == f"{tmp_path}/{message}"
 
     def test_csv_without_sidecar(self, tmp_path):
-        # the schema comes from the header; objects and measurands from the
-        # rows, in first-appearance order
+        # the schema comes from the header, each category the default
+        # schema's, else measurement_procedure; objects and measurands from
+        # the rows, in first-appearance order
         path = tmp_path / "plain.csv"
-        path.write_text("object,measurand,value,cond.test_set,cond.lab\n"
-                        "B,M2,1.0,wmt,x\nA,M1,2.0,,y\nB,M1,3.0,wmt,\n")
+        path.write_text("object,measurand,value,cond.test_set,cond.lab,cond.system_code\n"
+                        "B,M2,1.0,wmt,x,s1\nA,M1,2.0,,y,\nB,M1,3.0,wmt,,s1\n")
         ds = load_dataset(path)
         assert [o.id for o in ds.objects] == ["B", "A"]
         assert [m.id for m in ds.measurands] == ["M2", "M1"]
         assert ds.schema.conditions == (("test_set", "measurement_procedure"),
-                                        ("lab", "measurement_procedure"))
+                                        ("lab", "measurement_procedure"),
+                                        ("system_code", "object_condition"))
         assert [m.labels for m in ds.measurements] == [
-            ("wmt", "x"), (None, "y"), ("wmt", None)]
+            ("wmt", "x", "s1"), (None, "y", None), ("wmt", None, "s1")]
+
+    @pytest.mark.parametrize("sidecar", [False, True], ids=["cond-column", "sidecar"])
+    def test_empty_condition_name_is_a_parse_error(self, tmp_path, sidecar):
+        # one header reader: a bare cond. column and a sidecar entry with an
+        # empty name are the same fault, reported alike in the file that holds it
+        path = tmp_path / "plain.csv"
+        if sidecar:
+            path.write_text("object,measurand,value\nA,M,1.0\n")
+            where = path.with_suffix(".meta.json")
+            where.write_text(json.dumps({
+                "schema": {"conditions": [{"name": "", "category": "object_condition"}]},
+                "objects": [{"id": "A"}], "measurands": [{"id": "M"}]}))
+        else:
+            path.write_text("object,measurand,value,cond.\nA,M,1.0,x\n")
+            where = path
+        with pytest.raises(ParseError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == f"{where}: condition name must be non-empty"
 
     def test_value_below_scale_min(self, ds, tmp_path):
         obj = dataset_to_obj(ds)

@@ -5,6 +5,7 @@ from pathlib import Path
 import qrakit
 from qrakit import assess_all, bundled_paper_dataset
 from qrakit.render import RenderSpec, render_reports
+from qrakit.sim import simulate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -33,3 +34,13 @@ def test_every_public_class_is_a_named_tuple_listed_as_a_record():
     text = " ".join(README.read_text(encoding="utf-8").split())
     sentence = re.search(r"Every record is a named tuple \(.*?\):(.*?)\.\s", text)
     assert set(re.findall(r"`(\w+)`", sentence[1])) == records
+
+
+def test_ci_coverage_table_matches_simulate():
+    # the coverage table follows the sentence that names its simulate call
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("`simulate(n, 1.0, 100000, 1).ci_coverage` gives:"):]
+    rows = re.findall(r"^\| (\d+) \| (0\.\d{3}) \|$", table.split("\n\n")[1], re.M)
+    assert [n for n, _ in rows] == ["2", "3", "4", "5", "10", "30"]
+    for n, coverage in rows:
+        assert f"{simulate(int(n), 1.0, 100000, 1).ci_coverage:.3f}" == coverage, n

@@ -54,6 +54,31 @@ class TestSimulate:
         with pytest.raises(InvalidParameters):
             simulate(**kwargs)
 
+    @pytest.mark.parametrize("args, message", [
+        ((2.5, 1.0, 10, 1), "n must be an integer, not float"),
+        ((3.0, 1.0, 10, 1), "n must be an integer, not float"),
+        ((True, 1.0, 10, 1), "n must be an integer, not bool"),
+        ((3, 1.0, True, 1), "trials must be an integer, not bool"),
+        ((3, 1.0, 10.0, 1), "trials must be an integer, not float"),
+        ((3, 1.0, 10, 1.5), "seed must be an integer, not float"),
+        ((3, 1.0, 10, False), "seed must be an integer, not bool"),
+        ((3, 1.0, 10, "1"), "seed must be an integer, not str"),
+        ((3, "1", 10, 1), "sigma must be a number, not str"),
+        ((3, None, 10, 1), "sigma must be a number, not NoneType"),
+        ((3, 1j, 10, 1), "sigma must be a number, not complex"),
+        ((3, 10**400, 10, 1), "sigma must be finite and > 0, got 1000"),
+    ])
+    def test_parameter_types(self, args, message):
+        # refused by name as InvalidParameters, not as numpy's or math's TypeError
+        with pytest.raises(InvalidParameters) as exc:
+            simulate(*args)
+        assert str(exc.value).startswith(message)
+
+    def test_numpy_integers_are_accepted(self):
+        import numpy as np
+        result = simulate(np.int64(5), np.float64(1.0), np.int32(200), np.uint8(3))
+        assert result == simulate(5, 1.0, 200, 3)
+
     @pytest.mark.parametrize("k", [1e-300, 1e200, 1e307])
     def test_scale_is_exact(self, k):
         # drawn on the unit scale: sigma only multiplies the means
