@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from .engine import assess_all, subgroup_assess
 from .errors import InvalidParameters, QraError, ValidationError
@@ -18,7 +17,7 @@ from .io import (
     FORMATS as DATASET_FORMATS,
     _encode_error,
     _read_dataset,
-    _utf8,
+    _write,
     load_dataset,
 )
 from .model import validate_dataset
@@ -28,9 +27,8 @@ from .sim import simulate
 
 def _emit(document: str, out=None) -> None:
     if out is not None:
-        data = _utf8(document, out)  # before the file is opened
         try:
-            Path(out).write_bytes(data)
+            _write([(out, [document])])
         except OSError as exc:
             raise InvalidParameters(f"--out {out}: {exc.strerror or exc}") from exc
     else:

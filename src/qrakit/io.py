@@ -24,6 +24,7 @@ from .model import (
     Measurement,
     ObjectRef,
     QraDataset,
+    _check_declared,
     _label,
     default_condition_schema,
     validate_dataset,
@@ -142,14 +143,6 @@ def _encode_error(path, exc: UnicodeEncodeError) -> EncodeError:
                        f"{exc.reason}")
 
 
-def _utf8(text: str, path) -> bytes:
-    """``text`` as UTF-8; a lone surrogate is an EncodeError naming ``path``."""
-    try:
-        return text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise _encode_error(path, exc) from exc
-
-
 # the only JSON text that decodes to a surrogate; a decoded UTF-8 file holds none
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
@@ -256,9 +249,7 @@ def _json_rows(rows, names):
         if conditions is None:
             raw = unknown
         elif isinstance(conditions, dict):
-            if not conditions.keys() <= declared:  # a misspelt name would read as Unknown
-                name = next(k for k in conditions if k not in declared)
-                raise ValueError(f"condition {name!r} is not in the schema")
+            _check_declared(conditions, declared)
             raw = list(map(conditions.get, names))
         else:
             raise TypeError("conditions is not a JSON object")
@@ -462,12 +453,10 @@ def _dataset_from_csv(path: Path, meta, file) -> QraDataset:
             raise SchemaError(f"{path}: column {undeclared!r} names no condition "
                               f"declared in {declared_in}")
         column = {field: i for i, field in enumerate(fields)}
-        obj, measurand, value = column["object"], column["measurand"], column["value"]
         source, timestamp = column.get("source"), column.get("timestamp")
-        conditions = [column[_COND_PREFIX + name] for name in schema.names]
-        # a row's condition cells; itemgetter of one index gives a bare cell, of none an error
-        cells = (itemgetter(*conditions) if len(conditions) > 1
-                 else lambda r: tuple(map(r.__getitem__, conditions)))
+        # a row's object, measurand and value cells, then one cell per condition
+        cells = itemgetter(column["object"], column["measurand"], column["value"],
+                           *(column[_COND_PREFIX + name] for name in schema.names))
         width = len(fields)
 
         def rows():
@@ -476,9 +465,9 @@ def _dataset_from_csv(path: Path, meta, file) -> QraDataset:
                     if not r:  # a blank line
                         continue
                     raise ValueError(f"row has {len(r)} cells, header has {width}")
-                yield (r[obj], r[measurand], float(r[value]),
-                       "" if source is None else r[source],
-                       None if timestamp is None else r[timestamp], cells(r))
+                picked = cells(r)
+                yield (picked[0], picked[1], float(picked[2]), "" if source is None else r[source],
+                       None if timestamp is None else r[timestamp], picked[3:])
 
         # a row is reported at the line on which its record ends
         measurements = _measurements(rows(), schema, lambda _: f"{path}:{reader.line_num}: ")
@@ -546,6 +535,24 @@ def load_dataset(path, fmt: str = "auto") -> QraDataset:
     return dataset
 
 
+def _write(files) -> None:
+    """Write each ``(path, text pieces)`` of ``files`` as UTF-8. All text is
+    encoded, and each file after the first opened, before any file is truncated,
+    so a failure leaves existing files as they were. The first file, which may
+    be a pipe or a device, is opened once."""
+    encoded = []
+    for path, pieces in files:
+        try:
+            encoded.append((path, [text.encode("utf-8") for text in pieces]))
+        except UnicodeEncodeError as exc:
+            raise _encode_error(path, exc) from exc
+    for path, _ in encoded[1:]:
+        Path(path).open("ab").close()  # creates a missing file, truncates none
+    for path, data in encoded:
+        with Path(path).open("wb") as file:
+            file.writelines(data)
+
+
 def save_dataset(dataset: QraDataset, path, fmt: str = "auto") -> None:
     """Write a dataset to disk; CSV also writes the .meta.json sidecar."""
     path = Path(path)
@@ -554,12 +561,7 @@ def save_dataset(dataset: QraDataset, path, fmt: str = "auto") -> None:
                  (_meta_path(path), [_header_text(dataset), "\n"])]
     else:
         texts = [(path, _dataset_to_json(dataset))]
-    # encode every file before opening any: text that UTF-8 cannot hold
-    # then leaves existing files as they were
-    encoded = [(target, [_utf8(text, target) for text in pieces]) for target, pieces in texts]
-    for target, data in encoded:
-        with target.open("wb") as file:
-            file.writelines(data)
+    _write(texts)
 
 
 _BUNDLED = Path(__file__).with_name("data") / "qra_benchmark.json"

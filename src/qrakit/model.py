@@ -69,7 +69,7 @@ class Measurand(namedtuple("Measurand", "id display_name unit scale_min scale_ma
         if scale_max is not None and not scale_max > scale_min:
             raise ValueError(f"{where}scale_max must exceed scale_min")
         if value_kind not in ("continuous", "percentage"):
-            raise ValueError(f"unknown value_kind {value_kind!r}")
+            raise ValueError(f"{where}unknown value_kind {value_kind!r}")
         return super().__new__(cls, id, display_name, unit, scale_min, scale_max, value_kind)
 
 
@@ -237,16 +237,27 @@ class Measurement(namedtuple("Measurement", "object measurand value names labels
         return UNKNOWN if label is None else ConditionValue(label)
 
 
+def _check_declared(conditions, declared: frozenset) -> None:
+    """Refuse a name in ``conditions`` that is not in ``declared``: a misspelt
+    condition would read as Unknown."""
+    if not conditions.keys() <= declared:
+        name = next(k for k in conditions if k not in declared)
+        raise ValueError(f"condition {name!r} is not in the schema")
+
+
 def make_measurement(object_id, measurand_id, value, conditions=None,
                      source="", timestamp=None, schema=None):
     """Build a Measurement from a plain dict of condition labels.
 
     ``conditions`` maps condition name -> label (a ConditionValue, or None,
     "" or missing for Unknown). When a schema is given, the measurement has
-    one label per schema condition, in schema order. The other fields follow
+    one label per schema condition, in schema order, and a name the schema
+    does not declare raises ValueError. The other fields follow
     ``Measurement``'s rule: a ``value`` of ``"5"`` raises TypeError.
     """
     conditions = conditions or {}
+    if schema is not None:
+        _check_declared(conditions, frozenset(schema.names))
     names = tuple(conditions) if schema is None else schema.names
     labels = tuple(_label(conditions.get(name)) for name in names)
     return Measurement(object_id, measurand_id, value, names, labels, source, timestamp)

@@ -383,6 +383,7 @@ class TestBadInput:
         "unit_not_string.json": "measurand 'M': unit must be a string, not int",
         "value_bool.json": "measurement 2: value must be a number, not bool",
         "value_int_too_large.json": "measurement 2: int too large to convert to float",
+        "value_kind_unknown.json": "measurand 'M': unknown value_kind 'ordinal'",
         "value_numeric_string.json": "measurement 2: value must be a number, not str",
     }
 
@@ -756,6 +757,9 @@ class TestBadInput:
         code, out, err = run(capsys, *argv, "--out", "")
         assert (code, out) == (2, "")
         assert err.startswith("error: --out ") and len(err.splitlines()) == 1
+
+    def test_out_to_a_device(self, capsys):
+        assert run(capsys, "assess", "--input", "builtin", "--out", os.devnull) == (0, "", "")
 
     def test_out_into_missing_directory(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.txt"

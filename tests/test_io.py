@@ -924,6 +924,25 @@ class TestSaveErrors:
                        labels=m.labels[:-1] + ("",))
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_unopenable_sidecar_leaves_the_old_csv(self, ds, tmp_path):
+        path = tmp_path / "data.csv"
+        save_dataset(ds, path)
+        before = path.read_bytes()
+        sidecar = tmp_path / "data.meta.json"
+        sidecar.unlink()
+        sidecar.mkdir()
+        with pytest.raises(OSError):
+            save_dataset(ds._replace(measurements=ds.measurements[:10]), path)
+        assert path.read_bytes() == before
+
+    def test_unopenable_sidecar_leaves_no_new_csv(self, ds, tmp_path):
+        """A CSV that loads without its sidecar has no declared scales, so its
+        (PASS, Clarity) CV* would be 11.022 where the dataset's is 13.240."""
+        (tmp_path / "data.meta.json").mkdir()
+        with pytest.raises(OSError):
+            save_dataset(ds, tmp_path / "data.csv")
+        assert [p.name for p in tmp_path.iterdir()] == ["data.meta.json"]
+
     def test_lone_surrogate_in_a_sidecar(self, ds, tmp_path):
         path = tmp_path / "data.csv"
         save_dataset(ds, path)

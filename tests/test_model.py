@@ -102,6 +102,17 @@ class TestDefaultConditionSchema:
         with pytest.raises(error, match="^condition name must be "):
             make_measurement("A", "m", 1.0, conditions={"ok": "x", name: "y"})
 
+    def test_a_name_the_schema_lacks_is_refused(self):
+        """A misspelt name would read as Unknown, as in a JSON file."""
+        schema = default_condition_schema()
+        with pytest.raises(ValueError, match="^condition 'perfomed_by' is not in the schema$"):
+            make_measurement("A", "M", 1.0, {"test_set": "t", "perfomed_by": "x"},
+                             schema=schema)
+        m = make_measurement("A", "M", 1.0, {"performed_by": "x"}, schema=schema)
+        assert m.labels == (None,) * 6 + ("x",)
+        # without a schema, the dict's keys are the names
+        assert make_measurement("A", "M", 1.0, {"perfomed_by": "x"}).names == ("perfomed_by",)
+
 
 class TestConditionValue:
     def test_known_matches_equal_label(self):
