@@ -14,7 +14,7 @@ import datetime
 import json
 import re
 from io import StringIO
-from operator import itemgetter
+from operator import add, itemgetter, methodcaller
 from pathlib import Path
 
 from .errors import EncodeError, ParseError, QraError, SchemaError, ValidationError
@@ -219,9 +219,15 @@ def _measurements(rows, schema: ConditionSchema, where) -> tuple:
     ISO text, or None or "" for none; errors start with ``where(n)`` for row n, from 1."""
     names = schema.names
     memo = {None: None, "": None}  # _label once per distinct raw label in a load
+    # the first of equal ids and sources in a load; an exact str only, so any
+    # other value reaches Measurement as it was read, and is refused as it was
+    share = {}.setdefault
     measurements = []
     try:
         for obj, measurand, value, source, ts, raw in rows:
+            obj = share(obj, obj) if type(obj) is str else obj
+            measurand = share(measurand, measurand) if type(measurand) is str else measurand
+            source = share(source, source) if type(source) is str else source
             if ts is not None and not isinstance(ts, str):
                 raise TypeError(f"timestamp must be a string or null, not {type(ts).__name__}")
             if ts and not _ISO_DATE(ts):
@@ -407,16 +413,17 @@ def _dataset_to_csv(dataset: QraDataset):
     header = list(_RESERVED_COLUMNS)
     if has_timestamp:
         header.append("timestamp")
-
-    def row(m):
-        cells = [m.object, m.measurand, repr(m.value), m.source]
-        if has_timestamp:
-            cells.append(m.timestamp.isoformat() if m.timestamp else "")
-        return cells + [label or "" for label in m.labels_in(names)]
+    # csv writes a float as its repr and None (Unknown) as ""
+    reserved = itemgetter(*map(Measurement._fields.index, _RESERVED_COLUMNS))
+    labels = methodcaller("labels_in", names)
 
     yield _csv_text([header + [_COND_PREFIX + name for name in names]])
     for block in _blocks(dataset.measurements):
-        yield _csv_text(map(row, block))
+        cells = map(reserved, block)
+        if has_timestamp:
+            cells = map(add, cells, [(m.timestamp.isoformat() if m.timestamp else "",)
+                                     for m in block])
+        yield _csv_text(map(add, cells, map(labels, block)))
 
 
 def _dataset_from_csv(path: Path, meta, file) -> QraDataset:

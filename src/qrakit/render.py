@@ -70,7 +70,8 @@ def _matrix(report: QraReport) -> dict:
 
 
 def _rows(results):
-    return [[
+    """Each record's table cells, made as the table takes them: one list of rows."""
+    return ([
         r["object"],
         r["measurand"],
         ", ".join(map(str, r["values"])),
@@ -80,7 +81,7 @@ def _rows(results):
         f"{r['ci95'][0]:.2f}",
         f"{r['ci95'][1]:.2f}",
         f"{r['cv_star']:.3f}",
-    ] for r in results]
+    ] for r in results)
 
 
 _TABLE_HEADER = ["object", "measurand", "values", "n", "mean", "stdev",

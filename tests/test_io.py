@@ -436,7 +436,7 @@ class TestSaveMemory:
 class TestLoadMemory:
     """A load reads and holds one block of text and one measurement's objects
     at a time, not the whole text and its object graph. Here a JSON load
-    peaks at about 1.16x the dataset it returns and a CSV load at 1.0x. The
+    peaks at about 1.3x the dataset it returns and a CSV load at 1.0x. The
     whole-file JSON read peaked at about 3.4x, and the CSV load that decoded
     its file whole at 1.65x, so this test fails with either."""
 
@@ -455,6 +455,27 @@ class TestLoadMemory:
             tracemalloc.stop()
         assert len(dataset.measurements) == 2000
         assert peak - before <= 1.4 * (size - before)
+
+
+class TestSharedStrings:
+    """Every reader gives equal ids and equal sources of one load one string."""
+
+    @staticmethod
+    def assert_one_string_per_value(dataset):
+        for field in ("object", "measurand", "source"):
+            cells = [getattr(m, field) for m in dataset.measurements]
+            assert len(set(map(id, cells))) == len(set(cells)) > 1, field
+
+    def test_each_reader(self, tmp_path):
+        corpus = corpus_like(2000)
+        save_dataset(corpus, tmp_path / "data.json")
+        save_dataset(corpus, tmp_path / "data.csv")
+        for name in ("data.json", "data.csv"):
+            self.assert_one_string_per_value(load_dataset(tmp_path / name))
+        (tmp_path / "data.meta.json").unlink()
+        self.assert_one_string_per_value(load_dataset(tmp_path / "data.csv"))
+        obj = json.loads((tmp_path / "data.json").read_text(encoding="utf-8"))
+        self.assert_one_string_per_value(dataset_from_obj(obj))
 
 
 class JsonObject(list):
