@@ -25,7 +25,6 @@ from .model import (
     ObjectRef,
     QraDataset,
     _check_declared,
-    _label,
     default_condition_schema,
     validate_dataset,
 )
@@ -218,26 +217,23 @@ def _measurements(rows, schema: ConditionSchema, where) -> tuple:
     timestamp, raw_labels)``, one raw label per schema condition and the timestamp
     ISO text, or None or "" for none; errors start with ``where(n)`` for row n, from 1."""
     names = schema.names
-    memo = {None: None, "": None}  # _label once per distinct raw label in a load
-    # the first of equal ids and sources in a load; an exact str only, so any
-    # other value reaches Measurement as it was read, and is refused as it was
-    share = {}.setdefault
+    # two tables per load, of the first of equal ids and sources and of equal labels,
+    # where "" and None are both Unknown; Measurement checks every cell
+    share, label = {}.setdefault, {None: None, "": None}.setdefault
     measurements = []
     try:
         for obj, measurand, value, source, ts, raw in rows:
-            obj = share(obj, obj) if type(obj) is str else obj
-            measurand = share(measurand, measurand) if type(measurand) is str else measurand
-            source = share(source, source) if type(source) is str else source
             if ts is not None and not isinstance(ts, str):
                 raise TypeError(f"timestamp must be a string or null, not {type(ts).__name__}")
             if ts and not _ISO_DATE(ts):
                 raise ValueError(f"Invalid isoformat string: {ts!r}")  # 3.10's own message
             ts = datetime.date.fromisoformat(ts) if ts else None
             try:
-                labels = tuple(map(memo.__getitem__, raw))
-            except (KeyError, TypeError):  # a new label, or an unhashable raw
-                labels = tuple(map(_label, raw))
-                memo.update(zip(raw, labels))
+                obj, measurand, source = (share(obj, obj), share(measurand, measurand),
+                                          share(source, source))
+                labels = tuple(map(label, raw, raw))
+            except TypeError:  # an unhashable cell, which Measurement refuses
+                labels = tuple(None if cell == "" else cell for cell in raw)
             measurements.append(Measurement(obj, measurand, value, names, labels,
                                             source, ts))
     except _FIELD_ERRORS as exc:

@@ -120,8 +120,7 @@ def _label(raw) -> str | None:
         return None
     if not isinstance(raw, str):
         raise TypeError(f"condition label must be a string or null, not {type(raw).__name__}")
-    # one string object per distinct label across a loaded dataset
-    return sys.intern(str(raw)) if raw else None
+    return str(raw) if raw else None
 
 
 class ConditionValue(namedtuple("ConditionValue", "label")):
@@ -136,7 +135,7 @@ class ConditionValue(namedtuple("ConditionValue", "label")):
     _make = _checked_make
 
     def __new__(cls, label=None):
-        stored = _label(label)  # the label of a ConditionValue, interned
+        stored = _label(label)
         if stored is None and label == "":
             raise ValueError("known condition labels must be non-empty")
         return super().__new__(cls, stored)

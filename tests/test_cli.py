@@ -363,6 +363,8 @@ class TestBadInput:
             "measurement 2: condition 'perfomed_by' is not in the schema",
         "conditions_not_object.json": "measurement 1: conditions is not a JSON object",
         "declared_id_not_string.json": "object id must be a string, not list",
+        "label_not_hashable.json":
+            "measurement 2: condition label must be a string or null, not list",
         "label_not_string.json":
             "measurement 2: condition label must be a string or null, not int",
         "measurand_entry_not_object.json": "measurands entry 2 is not a JSON object",
@@ -375,6 +377,7 @@ class TestBadInput:
         "scale_min_bool.json": "measurand 'M': scale_min must be a number, not bool",
         "scale_min_neg_inf.json": "measurand 'M': scale_min must be finite, not -inf",
         "schema_not_object.json": "'schema' is not a JSON object",
+        "source_not_hashable.json": "measurement 2: source must be a string or null, not list",
         "source_not_string.json": "measurement 2: source must be a string or null, not int",
         "timestamp_not_string.json":
             "measurement 2: timestamp must be a string or null, not int",

@@ -458,12 +458,18 @@ class TestLoadMemory:
 
 
 class TestSharedStrings:
-    """Every reader gives equal ids and equal sources of one load one string."""
+    """Every reader gives equal ids, sources and labels of one load one string,
+    and shares none with another load."""
 
     @staticmethod
-    def assert_one_string_per_value(dataset):
-        for field in ("object", "measurand", "source"):
-            cells = [getattr(m, field) for m in dataset.measurements]
+    def known_labels(dataset):
+        return [label for m in dataset.measurements for label in m.labels if label is not None]
+
+    def assert_one_string_per_value(self, dataset):
+        fields = {f: [getattr(m, f) for m in dataset.measurements]
+                  for f in ("object", "measurand", "source")}
+        fields["labels"] = self.known_labels(dataset)
+        for field, cells in fields.items():
             assert len(set(map(id, cells))) == len(set(cells)) > 1, field
 
     def test_each_reader(self, tmp_path):
@@ -476,6 +482,14 @@ class TestSharedStrings:
         self.assert_one_string_per_value(load_dataset(tmp_path / "data.csv"))
         obj = json.loads((tmp_path / "data.json").read_text(encoding="utf-8"))
         self.assert_one_string_per_value(dataset_from_obj(obj))
+
+    def test_two_loads_share_no_label(self, tmp_path):
+        # corpus_like's labels are longer than one character, which CPython shares itself
+        save_dataset(corpus_like(200), tmp_path / "data.json")
+        first, second = (load_dataset(tmp_path / "data.json") for _ in range(2))
+        assert first == second
+        assert set(map(id, self.known_labels(first))).isdisjoint(
+            map(id, self.known_labels(second)))
 
 
 class JsonObject(list):
@@ -655,6 +669,8 @@ class TestStreamedJsonLoad:
         BASE + " x", BASE[:-1], BASE.replace("1.5", "1.5.0"),
         BASE.replace("2.5", "2.5e"), BASE.replace("}]}", "},]}"), "[" + BASE + "]",
         "", "  ", "{}", "{1: 2}", BASE.replace('"s"', '"\x01"'),
+        # nested deeper than the decoder's recursion limit
+        BASE.replace('"s"', "[" * 3000 + "]" * 3000),
         # a key or a value followed by a delimiter that does not belong there
         '{"schema", 1}', '{"schema": {"conditions": []} : 1}',
         # a field or row error, and a measurements value that is no array
@@ -761,6 +777,17 @@ class TestConditionCells:
                 load_dataset(path)
             assert str(exc.value) == (f"{path}: measurement 1: condition label must be "
                                       f"a string or null, not {kind}")
+
+    def test_a_row_is_checked_in_field_order(self, ds, tmp_path):
+        # Measurement's order: the object id is refused before the label
+        path = tmp_path / "data.json"
+        obj = dataset_to_obj(ds)
+        obj["measurements"][1]["object"] = 5
+        obj["measurements"][1]["conditions"]["test_set"] = 7
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ParseError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == f"{path}: measurement 2: object id must be a string, not int"
 
     @pytest.mark.parametrize("name", ["data.json", "data.csv"])
     def test_load_makes_one_value_per_distinct_label(self, tmp_path, name):

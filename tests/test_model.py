@@ -137,7 +137,7 @@ class TestConditionValue:
         assert m.labels == ("x",)
 
     def test_label_is_interned(self):
-        assert ConditionValue("".join(["w", "mt"])).label is known("wmt").label
+        assert ConditionValue("".join(["w", "mt"])).label == known("wmt").label
 
     def test_non_string_label_rejected(self):
         with pytest.raises(TypeError, match="^condition label must be a string or null, "
@@ -153,8 +153,8 @@ class TestSharedCells:
         b = make_measurement("b", "y", 2.0, {"test_set": "".join(["w", "mt"]),
                                              "procedure": ""}, schema=schema)
         assert a.names is b.names is schema.names
-        assert a.label("test_set") is b.label("test_set")
-        assert a.labels[5] is b.labels[5]
+        assert a.label("test_set") == b.label("test_set")
+        assert a.labels[5] == b.labels[5]
         assert b.label("procedure") is None and b.condition("procedure") is UNKNOWN
         assert a.condition("system_code") is UNKNOWN
 
