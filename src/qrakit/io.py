@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .errors import EncodeError, ParseError, QraError, SchemaError, ValidationError
 from .model import (
+    MEASUREMENT_PROCEDURE,
     ConditionSchema,
     Measurand,
     Measurement,
@@ -442,7 +443,7 @@ def _dataset_from_csv(path: Path, meta, file) -> QraDataset:
         if from_rows:
             categories = dict(default_condition_schema().conditions)
             meta = {"schema": {"conditions": [
-                {"name": name, "category": categories.get(name, "measurement_procedure")}
+                {"name": name, "category": categories.get(name, MEASUREMENT_PROCEDURE)}
                 for name in (f[len(_COND_PREFIX):] for f in fields if f.startswith(_COND_PREFIX))
             ]}, "objects": [], "measurands": []}
         schema, objects, measurands = _header_from_obj(meta, f"{declared_in}: ")
@@ -494,8 +495,8 @@ def _resolve_format(path: Path, fmt: str) -> str:
     if fmt == "auto":
         suffix = path.suffix.lower()
         if suffix[1:] not in FORMATS:
-            raise SchemaError(f"cannot infer format from extension {suffix!r}; "
-                              "pass format='csv' or 'json'")
+            raise SchemaError(f"{path}: cannot infer the format from extension {suffix!r}; "
+                              f"give its format, one of {', '.join(FORMATS)}")
         return suffix[1:]
     if fmt not in FORMATS:
         raise SchemaError(f"unknown format {fmt!r}")

@@ -355,88 +355,63 @@ class TestBadInput:
         assert code in (1, 2, 3) and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
-    # the error line of every JSON file in tests/data/bad/, after its path
-    JSON_ERRORS = {
-        "condition_entry_not_object.json": "conditions entry 1 is not a JSON object",
-        "condition_name_not_string.json": "condition name must be a string, not int",
+    # the one error line of each file in tests/data/bad/, after its path; a sidecar
+    # is read with its CSV, and header_only.csv loads
+    ERRORS = {
+        "condition_entry_not_object.json": ": conditions entry 1 is not a JSON object",
+        "condition_name_not_string.json": ": condition name must be a string, not int",
         "condition_not_in_schema.json":
-            "measurement 2: condition 'perfomed_by' is not in the schema",
-        "conditions_not_object.json": "measurement 1: conditions is not a JSON object",
-        "declared_id_not_string.json": "object id must be a string, not list",
+            ": measurement 2: condition 'perfomed_by' is not in the schema",
+        "conditions_not_object.json": ": measurement 1: conditions is not a JSON object",
+        "declared_id_not_string.json": ": object id must be a string, not list",
+        "empty_condition_name.csv": ": condition name must be non-empty",
+        "empty_object.csv": ":3: object id must be non-empty",
         "label_not_hashable.json":
-            "measurement 2: condition label must be a string or null, not list",
+            ": measurement 2: condition label must be a string or null, not list",
         "label_not_string.json":
-            "measurement 2: condition label must be a string or null, not int",
-        "measurand_entry_not_object.json": "measurands entry 2 is not a JSON object",
-        "measurements_not_array.json": "'measurements' is not a JSON array",
-        "missing_measurements.json": "missing required field: 'measurements'",
-        "non_numeric_value.json": "measurement 2: value must be a number, not str",
-        "object_entry_not_object.json": "objects entry 1 is not a JSON object",
-        "object_id_not_string.json": "measurement 1: object id must be a string, not list",
-        "scale_max_nan.json": "measurand 'M': scale_max must be finite, not nan",
-        "scale_min_bool.json": "measurand 'M': scale_min must be a number, not bool",
-        "scale_min_neg_inf.json": "measurand 'M': scale_min must be finite, not -inf",
-        "schema_not_object.json": "'schema' is not a JSON object",
-        "source_not_hashable.json": "measurement 2: source must be a string or null, not list",
-        "source_not_string.json": "measurement 2: source must be a string or null, not int",
+            ": measurement 2: condition label must be a string or null, not int",
+        "long_row.csv": ":2: row has 4 cells, header has 3",
+        "measurand_entry_not_object.json": ": measurands entry 2 is not a JSON object",
+        "measurements_not_array.json": ": 'measurements' is not a JSON array",
+        "missing_measurements.json": ": missing required field: 'measurements'",
+        "non_numeric_value.json": ": measurement 2: value must be a number, not str",
+        "object_entry_not_object.json": ": objects entry 1 is not a JSON object",
+        "object_id_not_string.json": ": measurement 1: object id must be a string, not list",
+        # record 1 spans lines 2-3 (a quoted newline), so record 2 is on line 4
+        "quoted_newline.csv": ":4: could not convert string to float: 'high'",
+        "repeated_column.csv": ": repeated column 'value'",
+        "scale_max_nan.json": ": measurand 'M': scale_max must be finite, not nan",
+        "scale_min_bool.json": ": measurand 'M': scale_min must be a number, not bool",
+        "scale_min_neg_inf.json": ": measurand 'M': scale_min must be finite, not -inf",
+        "schema_not_object.json": ": 'schema' is not a JSON object",
+        "short_row.csv": ":2: row has 2 cells, header has 3",
+        "sidecar_missing_column.csv": ": no column 'cond.performed_by' for condition "
+            f"'performed_by' declared in {BAD / 'sidecar_missing_column.meta.json'}",
+        "sidecar_undeclared_column.csv": ": column 'cond.perfomed_by' names no condition "
+            f"declared in {BAD / 'sidecar_undeclared_column.meta.json'}",
+        "source_not_hashable.json": ": measurement 2: source must be a string or null, not list",
+        "source_not_string.json": ": measurement 2: source must be a string or null, not int",
         "timestamp_not_string.json":
-            "measurement 2: timestamp must be a string or null, not int",
-        "top_level_array.json": "top-level JSON value must be an object",
-        "truncated.json": "line 1 column 120: Unterminated string starting at",
-        "unit_not_string.json": "measurand 'M': unit must be a string, not int",
-        "value_bool.json": "measurement 2: value must be a number, not bool",
-        "value_int_too_large.json": "measurement 2: int too large to convert to float",
-        "value_kind_unknown.json": "measurand 'M': unknown value_kind 'ordinal'",
-        "value_numeric_string.json": "measurement 2: value must be a number, not str",
+            ": measurement 2: timestamp must be a string or null, not int",
+        "top_level_array.json": ": top-level JSON value must be an object",
+        "truncated.json": ": line 1 column 120: Unterminated string starting at",
+        "unit_not_string.json": ": measurand 'M': unit must be a string, not int",
+        "unknown_extension.txt": ": cannot infer the format from extension '.txt'; "
+                                 "give its format, one of csv, json",
+        "value_bool.json": ": measurement 2: value must be a number, not bool",
+        "value_int_too_large.json": ": measurement 2: int too large to convert to float",
+        "value_kind_unknown.json": ": measurand 'M': unknown value_kind 'ordinal'",
+        "value_numeric_string.json": ": measurement 2: value must be a number, not str",
     }
 
-    @pytest.mark.parametrize("path", [
-        path for path in sorted(BAD.glob("*.json"))
-        if not path.name.endswith(".meta.json")
-    ], ids=lambda path: path.name)
-    def test_json_errors_start_with_the_path(self, capsys, path):
-        code, out, err = run(capsys, "assess", "--input", str(path))
-        assert code == 1 and out == ""
-        assert err == f"error: {path}: {self.JSON_ERRORS[path.name]}\n"
-
-    @pytest.mark.parametrize("name, message", [
-        ("schema_not_object.json", "'schema' is not a JSON object"),
-        ("object_entry_not_object.json", "objects entry 1 is not a JSON object"),
-        ("measurand_entry_not_object.json", "measurands entry 2 is not a JSON object"),
-        ("condition_entry_not_object.json", "conditions entry 1 is not a JSON object"),
-        ("condition_name_not_string.json", "condition name must be a string, not int"),
-        ("empty_condition_name.csv", "condition name must be non-empty"),
-        ("short_row.csv", "row has 2 cells, header has 3"),
-        ("long_row.csv", "row has 4 cells, header has 3"),
-    ])
-    def test_header_and_row_shape_errors(self, capsys, name, message):
-        path = BAD / name
-        line = ":2" if name.endswith("_row.csv") else ""
-        code, out, err = run(capsys, "assess", "--input", str(path))
-        assert (code, out) == (1, "")
-        assert err == f"error: {path}{line}: {message}\n"
-
-    @pytest.mark.parametrize("name, message", [
-        ("scale_min_neg_inf.json", "measurand 'M': scale_min must be finite, not -inf"),
-        ("scale_max_nan.json", "measurand 'M': scale_max must be finite, not nan"),
-        ("source_not_string.json", "measurement 2: source must be a string or null, not int"),
-        ("label_not_string.json",
-         "measurement 2: condition label must be a string or null, not int"),
-        ("value_bool.json", "measurement 2: value must be a number, not bool"),
-        ("value_numeric_string.json", "measurement 2: value must be a number, not str"),
-        ("non_numeric_value.json", "measurement 2: value must be a number, not str"),
-        ("value_int_too_large.json", "measurement 2: int too large to convert to float"),
-        ("timestamp_not_string.json",
-         "measurement 2: timestamp must be a string or null, not int"),
-        ("unit_not_string.json", "measurand 'M': unit must be a string, not int"),
-        ("scale_min_bool.json", "measurand 'M': scale_min must be a number, not bool"),
-    ])
     @pytest.mark.parametrize("command", ["assess", "validate"])
-    def test_field_value_errors(self, capsys, command, name, message):
-        path = BAD / name
+    @pytest.mark.parametrize("path", [
+        path for path in sorted(BAD.iterdir())
+        if not path.name.endswith(".meta.json") and path.name != "header_only.csv"
+    ], ids=lambda path: path.name)
+    def test_bad_file_error_line(self, capsys, path, command):
         code, out, err = run(capsys, command, "--input", str(path))
-        assert (code, out) == (1, "")
-        assert err == f"error: {path}: {message}\n"
+        assert (code, out, err) == (1, "", f"error: {path}{self.ERRORS[path.name]}\n")
 
     ROWS = b"object,measurand,value\nA,M,high\n" + b"A,M,1.0\n" * 9000  # over 64 KiB
 
@@ -458,21 +433,6 @@ class TestBadInput:
         code, out, err = run(capsys, "assess", "--input", str(path))
         assert (code, out) == (1, "")
         assert err == f"error: {tmp_path / where}: {message}\n"
-
-    def test_csv_column_of_an_undeclared_condition(self, capsys):
-        path = BAD / "sidecar_undeclared_column.csv"
-        code, out, err = run(capsys, "validate", "--input", str(path))
-        assert (code, out) == (1, "")
-        assert err == (f"error: {path}: column 'cond.perfomed_by' names no condition "
-                       f"declared in {BAD / 'sidecar_undeclared_column.meta.json'}\n")
-
-    def test_csv_header_errors_name_file_and_column(self, capsys):
-        for name, column in (("sidecar_missing_column.csv", "'cond.performed_by'"),
-                             ("repeated_column.csv", "'value'")):
-            path = BAD / name
-            code, _, err = run(capsys, "validate", "--input", str(path))
-            assert code == 1
-            assert err.startswith(f"error: {path}: ") and column in err
 
     def test_nan_value_fails_assess_and_validate(self, capsys, tmp_path):
         path = tmp_path / "nan.csv"
@@ -538,13 +498,6 @@ class TestBadInput:
         code, _, err = run(capsys, "assess", "--input", str(path))
         assert code == 1
         assert err.startswith(f"error: {path}:3: ") and "'high'" in err
-
-    def test_bad_csv_row_is_reported_where_its_record_ends(self, capsys):
-        # record 1 spans lines 2-3 (a quoted newline), so record 2 is on line 4
-        path = BAD / "quoted_newline.csv"
-        code, _, err = run(capsys, "assess", "--input", str(path))
-        assert code == 1
-        assert err.startswith(f"error: {path}:4: ") and "'high'" in err
 
     def test_bad_byte_after_the_first_read_buffer(self, capsys, tmp_path):
         path = tmp_path / "latebyte.csv"

@@ -669,6 +669,9 @@ class TestStreamedJsonLoad:
         BASE + " x", BASE[:-1], BASE.replace("1.5", "1.5.0"),
         BASE.replace("2.5", "2.5e"), BASE.replace("}]}", "},]}"), "[" + BASE + "]",
         "", "  ", "{}", "{1: 2}", BASE.replace('"s"', '"\x01"'),
+        # junk after the document that a later block reads, with an escape that
+        # reads like a surrogate's: the hand-off it causes is no end of file
+        BASE + " " * 70_000 + '"\\ud800"',
         # nested deeper than the decoder's recursion limit
         BASE.replace('"s"', "[" * 3000 + "]" * 3000),
         # a key or a value followed by a delimiter that does not belong there
