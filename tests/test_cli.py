@@ -413,6 +413,13 @@ class TestBadInput:
         code, out, err = run(capsys, command, "--input", str(path))
         assert (code, out, err) == (1, "", f"error: {path}{self.ERRORS[path.name]}\n")
 
+    @pytest.mark.parametrize("path", [
+        BAD / name for name in ERRORS if name.endswith(".json")
+    ], ids=lambda path: path.name)
+    def test_json_errors_start_with_the_path(self, capsys, path):
+        code, out, err = run(capsys, "assess", "--input", str(path))
+        assert (code, out, err) == (1, "", f"error: {path}{self.ERRORS[path.name]}\n")
+
     ROWS = b"object,measurand,value\nA,M,high\n" + b"A,M,1.0\n" * 9000  # over 64 KiB
 
     @pytest.mark.parametrize("tail, sidecar, where, message", [
