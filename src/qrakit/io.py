@@ -492,15 +492,13 @@ FORMATS = ("csv", "json")  # of a dataset file
 
 
 def _resolve_format(path: Path, fmt: str) -> str:
-    if fmt == "auto":
-        suffix = path.suffix.lower()
-        if suffix[1:] not in FORMATS:
-            raise SchemaError(f"{path}: cannot infer the format from extension {suffix!r}; "
-                              f"give its format, one of {', '.join(FORMATS)}")
-        return suffix[1:]
-    if fmt not in FORMATS:
-        raise SchemaError(f"unknown format {fmt!r}")
-    return fmt
+    suffix = path.suffix.lower()
+    name = suffix[1:] if fmt == "auto" else fmt
+    if name not in FORMATS:
+        what = (f"cannot infer the format from extension {suffix!r}" if fmt == "auto"
+                else f"unknown format {fmt!r}")
+        raise SchemaError(f"{path}: {what}; give its format, one of {', '.join(FORMATS)}")
+    return name
 
 
 def _read_dataset(path, fmt: str = "auto") -> QraDataset:

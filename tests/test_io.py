@@ -1,9 +1,12 @@
 import contextlib
+import copy
 import csv
 import datetime
+import functools
 import io
 import json
 import math
+import operator
 import os
 import random
 import subprocess
@@ -1176,28 +1179,55 @@ class TestLoadErrors:
         with pytest.raises(SchemaError):
             load_dataset(path)
 
-    @pytest.mark.parametrize("row, message", [
-        (["A", "M", 1.0], "measurement 2: not a JSON object"),
-        ({"object": "A", "measurand": "M", "value": 1.0, "conditions": "abc"},
+    # a document that loads, and, for a value put at a path in it, the error it raises;
+    # more cases, as files, in tests/data/bad/
+    BASE = {"schema": {"conditions": [{"name": "lab", "category": "object_condition"},
+                                      {"name": "test_set", "category": "measurement_procedure"}]},
+            "objects": [{"id": "A"}, {"id": "B"}], "measurands": [{"id": "M"}],
+            "measurements": [{"object": "A", "measurand": "M", "value": 2.0},
+                             {"object": "A", "measurand": "M", "value": 1.0}]}
+    BAD_DOCUMENTS = [
+        (("schema",), [], "'schema' is not a JSON object"),
+        (("schema", "conditions"), {"id": "A"}, "'conditions' is not a JSON array"),
+        (("schema", "conditions", 1), "a", "conditions entry 2 is not a JSON object"),
+        (("schema", "conditions", 0, "name"), "", "condition name must be non-empty"),
+        (("objects",), {"id": "A"}, "'objects' is not a JSON array"),
+        (("objects", 1), ["B"], "objects entry 2 is not a JSON object"),
+        (("measurands",), {"id": "A"}, "'measurands' is not a JSON array"),
+        (("measurements",), {"id": "A"}, "'measurements' is not a JSON array"),
+        (("measurements", 1), ["A", "M", 1.0], "measurement 2: not a JSON object"),
+        (("measurements", 1, "conditions"), "abc",
          "measurement 2: conditions is not a JSON object"),
-        ({"object": "A", "measurand": "M", "value": 1.0, "conditions": ["a"]},
+        (("measurements", 1, "conditions"), ["a"],
          "measurement 2: conditions is not a JSON object"),
-    ])
-    def test_row_not_an_object(self, row, message):
-        obj = {"schema": {"conditions": []}, "objects": [{"id": "A"}],
-               "measurands": [{"id": "M"}],
-               "measurements": [{"object": "A", "measurand": "M", "value": 2.0}, row]}
-        with pytest.raises(ParseError, match=f"^{message}$"):
-            dataset_from_obj(obj)
+        (("measurements", 1, "value"), True, "measurement 2: value must be a number, not bool"),
+        (("measurements", 1, "value"), False, "measurement 2: value must be a number, not bool"),
+        (("measurements", 1, "value"), "12.5", "measurement 2: value must be a number, not str"),
+        (("measurements", 1, "value"), "NaN", "measurement 2: value must be a number, not str"),
+        (("measurements", 1, "value"), "", "measurement 2: value must be a number, not str"),
+        *((("measurements", 1, "source"), source,
+           f"measurement 2: source must be a string or null, not {name}")
+          for source, name in ((5, "int"), (0, "int"), (False, "bool"), (1.5, "float"),
+                               ([1], "list"), ({}, "dict"))),
+        *((("measurements", 1, "timestamp"), timestamp,
+           f"measurement 2: timestamp must be a string or null, not {name}")
+          for timestamp, name in ((0, "int"), (False, "bool"), ([], "list"), ({}, "dict"),
+                                  (1.5, "float"))),
+    ]
 
-    @pytest.mark.parametrize("key", ["conditions", "objects", "measurands", "measurements"])
-    def test_top_level_list_not_an_array(self, key):
-        obj = {"schema": {"conditions": []}, "objects": [{"id": "A"}],
-               "measurands": [{"id": "M"}],
-               "measurements": [{"object": "A", "measurand": "M", "value": 2.0}]}
-        (obj["schema"] if key == "conditions" else obj)[key] = {"id": "A"}
-        with pytest.raises(ParseError, match=f"^'{key}' is not a JSON array$"):
-            dataset_from_obj(obj)
+    def edited(self, path, value):
+        """A copy of BASE with value put at path."""
+        doc = copy.deepcopy(self.BASE)
+        *parents, key = path
+        functools.reduce(operator.getitem, parents, doc)[key] = value
+        return doc
+
+    @pytest.mark.parametrize("path, value, message", BAD_DOCUMENTS, ids=[
+        f"{'.'.join(map(str, path))}={value!r}" for path, value, _ in BAD_DOCUMENTS])
+    def test_bad_document(self, path, value, message):
+        with pytest.raises(ParseError) as exc:
+            dataset_from_obj(self.edited(path, value))
+        assert (type(exc.value), str(exc.value)) == (ParseError, message)
 
     def test_declaration_defaults(self):
         # an unknown key is ignored; the file's defaults, then the constructor's, fill the rest
@@ -1207,66 +1237,18 @@ class TestLoadErrors:
         assert ds.objects == (ObjectRef("A", "A", None),)
         assert ds.measurands == (Measurand("M", "M", "", 0.0, None, "continuous"),)
 
-    @pytest.mark.parametrize("source", [5, 0, False, 1.5, [1], {}])
-    def test_json_source_must_be_a_string_or_null(self, source):
-        obj = {"schema": {"conditions": []}, "objects": [{"id": "A"}],
-               "measurands": [{"id": "M"}],
-               "measurements": [{"object": "A", "measurand": "M", "value": 2.0},
-                                {"object": "A", "measurand": "M", "value": 1.0,
-                                 "source": source}]}
-        with pytest.raises(ParseError, match="^measurement 2: source must be a string or "
-                                             f"null, not {type(source).__name__}$"):
-            dataset_from_obj(obj)
-
-    @staticmethod
-    def second_row(**fields):
-        return {"schema": {"conditions": []}, "objects": [{"id": "A"}],
-                "measurands": [{"id": "M"}],
-                "measurements": [{"object": "A", "measurand": "M", "value": 2.0},
-                                 {"object": "A", "measurand": "M", "value": 1.0, **fields}]}
-
-    @pytest.mark.parametrize("value", [True, False, "12.5", "NaN", ""])
-    def test_json_value_must_be_a_number(self, value):
-        with pytest.raises(ParseError, match="^measurement 2: value must be a number, "
-                                             f"not {type(value).__name__}$"):
-            dataset_from_obj(self.second_row(value=value))
-
-    @pytest.mark.parametrize("timestamp", [0, False, [], {}, 1.5])
-    def test_json_timestamp_must_be_a_string_or_null(self, timestamp):
-        with pytest.raises(ParseError, match="^measurement 2: timestamp must be a string or "
-                                             f"null, not {type(timestamp).__name__}$"):
-            dataset_from_obj(self.second_row(timestamp=timestamp))
-
     @pytest.mark.parametrize("timestamp, day", [
         (None, None), ("", None), ("2022-05-01", datetime.date(2022, 5, 1))])
     def test_json_timestamp_text(self, timestamp, day):
-        ds = dataset_from_obj(self.second_row(timestamp=timestamp))
+        ds = dataset_from_obj(self.edited(("measurements", 1, "timestamp"), timestamp))
         assert ds.measurements[1].timestamp == day
 
     def test_integer_bounds_save_as_floats(self, tmp_path):
-        obj = self.second_row()
-        obj["measurands"][0].update(scale_min=1, scale_max=7)
+        obj = self.edited(("measurands", 0), {"id": "M", "scale_min": 1, "scale_max": 7})
         path = tmp_path / "int.json"
         save_dataset(dataset_from_obj(obj), path)
         text = path.read_text()
         assert '"scale_min": 1.0,' in text and '"scale_max": 7.0,' in text
-
-    # more cases, as files, in tests/data/bad/
-    @pytest.mark.parametrize("breakage, message", [
-        (lambda obj: obj.update(schema=[]), "'schema' is not a JSON object"),
-        (lambda obj: obj["schema"]["conditions"].append("a"),
-         "conditions entry 2 is not a JSON object"),
-        (lambda obj: obj["objects"].append(["B"]), "objects entry 2 is not a JSON object"),
-        (lambda obj: obj["schema"]["conditions"][0].update(name=""),
-         "condition name must be non-empty"),
-    ])
-    def test_header_entry_not_an_object(self, breakage, message):
-        obj = {"schema": {"conditions": [{"name": "lab", "category": "object_condition"}]},
-               "objects": [{"id": "A"}], "measurands": [{"id": "M"}],
-               "measurements": [{"object": "A", "measurand": "M", "value": 2.0}]}
-        breakage(obj)
-        with pytest.raises(ParseError, match=f"^{message}$"):
-            dataset_from_obj(obj)
 
     @pytest.mark.parametrize("rows, message", [
         ("A,M,1.0\nA,M,1.0,9,10,11\n", "plain.csv:3: row has 6 cells, header has 3"),
@@ -1325,12 +1307,13 @@ class TestLoadErrors:
     def test_unknown_format_extension(self, ds, tmp_path):
         path = tmp_path / "data.xlsx"
         path.write_text("x")
-        with pytest.raises(SchemaError):
-            load_dataset(path)
-        with pytest.raises(SchemaError, match="unknown format 'xlsx'"):
-            load_dataset(path, fmt="xlsx")
-        with pytest.raises(SchemaError, match="unknown format 'xlsx'"):
-            save_dataset(ds, path, fmt="xlsx")
+        for call, what in ((lambda: load_dataset(path),
+                            "cannot infer the format from extension '.xlsx'"),
+                           (lambda: load_dataset(path, fmt="xlsx"), "unknown format 'xlsx'"),
+                           (lambda: save_dataset(ds, path, fmt="xlsx"), "unknown format 'xlsx'")):
+            with pytest.raises(SchemaError) as exc:
+                call()
+            assert str(exc.value) == f"{path}: {what}; give its format, one of csv, json"
 
 
 class TestValidateDataset:
